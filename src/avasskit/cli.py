@@ -33,7 +33,7 @@ from .frontend import (
     render_bool,
     render_state_sets,
     serialize_machine,
-    serialize_payload,
+    serialize_transition,
 )
 from .generators import (
     PCPInstance,
@@ -74,14 +74,6 @@ def _load_machine(path: str) -> Machine:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
-
-
-def _render_config(c: Configuration) -> str:
-    return f"{c.state}:{','.join(str(v) for v in c.counters)}"
-
-
-def _render_transition(t) -> str:
-    return f"{t.source} -> {t.target} : {serialize_payload(t.payload)}"
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def _cmd_prestar(args) -> int:
     if args.json:
         _emit_json({
             "machine": m.name,
-            "target": _render_config(target),
+            "target": target.render(),
             "upward": args.upward,
             "sweeps": result.sweeps,
             "sets": {q: result.sets[q].to_json_obj() for q in m.states},
@@ -185,10 +177,10 @@ def _cmd_wsts(args) -> int:
     if not verdict.well_structured:
         t = verdict.witness
         detail = {
-            "witness": _render_transition(t),
+            "witness": serialize_transition(t),
             "counterexample": f"{t.source}:{verdict.counterexample}",
         }
-        lines = (f"witness: {_render_transition(t)}",
+        lines = (f"witness: {serialize_transition(t)}",
                  f"counterexample: {t.source}:{verdict.counterexample}")
     return _print_verdict(verdict.well_structured, args, detail, lines)
 
@@ -199,8 +191,8 @@ def _cmd_strong_mono(args) -> int:
     detail: dict = {"witness": None}
     lines: tuple[str, ...] = ()
     if not verdict.strongly_monotone:
-        detail = {"witness": _render_transition(verdict.witness)}
-        lines = (f"witness: {_render_transition(verdict.witness)}",)
+        detail = {"witness": serialize_transition(verdict.witness)}
+        lines = (f"witness: {serialize_transition(verdict.witness)}",)
     return _print_verdict(verdict.strongly_monotone, args, detail, lines)
 
 
@@ -243,7 +235,7 @@ def _cmd_functional(args) -> int:
         _emit_json({
             "verdict": render_bool(report.all_functional),
             "failures": [
-                {"transition": _render_transition(t),
+                {"transition": serialize_transition(t),
                  "witness": {k: witness[k] for k in sorted(witness)}}
                 for t, witness in failures
             ],
@@ -252,7 +244,7 @@ def _cmd_functional(args) -> int:
     print(f"verdict: {render_bool(report.all_functional)}")
     for t, witness in failures:
         assignment = ", ".join(f"{k}={witness[k]}" for k in sorted(witness))
-        print(f"not functional: {_render_transition(t)}  ({assignment})")
+        print(f"not functional: {serialize_transition(t)}  ({assignment})")
     return 0
 
 
@@ -299,7 +291,7 @@ def _cmd_sim(args) -> int:
     budget = Budget(max_value=args.max_value, max_configs=args.max_configs)
     if args.pre is None:
         result = post_star(m, src, budget)
-        rendered = sorted(_render_config(c) for c in result.configs)
+        rendered = sorted(c.render() for c in result.configs)
         if args.json:
             _emit_json({"configs": rendered,
                         "truncated": result.truncated})
@@ -314,7 +306,7 @@ def _cmd_sim(args) -> int:
     found = steps is not None
     path = None
     if found:
-        path = [_render_config(src)] + [_render_config(c) for _, c in steps]
+        path = [src.render()] + [c.render() for _, c in steps]
     if args.json:
         _emit_json({"verdict": render_bool(found),
                     "truncated": truncated,

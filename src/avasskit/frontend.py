@@ -576,12 +576,17 @@ def serialize_payload(p) -> str:
     raise TypeError(f"not a payload: {p!r}")
 
 
+def serialize_transition(t: Transition) -> str:
+    """``SRC -> TGT : payload``, a ``trans`` line without its keyword."""
+    return f"{t.source} -> {t.target} : {serialize_payload(t.payload)}"
+
+
 def serialize_machine(m: Machine) -> str:
     lines = [f"machine {m.name}", f"dim {m.dimension}"]
     for q in m.states:
         lines.append(f"state {q} init" if q == m.initial else f"state {q}")
     for t in m.transitions:
-        lines.append(f"trans {t.source} -> {t.target} : {serialize_payload(t.payload)}")
+        lines.append(f"trans {serialize_transition(t)}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,12 +16,19 @@ syntactic questions the decision procedures dispatch on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import FlavorError, MachineError
-from .semiset import EMPTY, FULL, Clause, SemilinearSet, interval, semilinear
+from .semiset import (
+    EMPTY_CLAUSE,
+    Clause,
+    SemilinearSet,
+    _cdiv,
+    intersect_clauses,
+    semilinear,
+)
 
 
 @dataclass(frozen=True)
@@ -225,11 +232,19 @@ class Classification:
 
 
 def _matrix_of(p: Payload, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """(A, b) view of an affine payload, None for non-affine ones."""
+    """(A, b) view of an affine payload, None for non-affine ones.
+
+    Guards are not part of the view.  A counter increment or decrement is the
+    identity matrix plus a unit offset; a zero test is a guard, not a map.
+    """
     if isinstance(p, AffineMap1):
         return ((p.a,),), (p.b,)
     if isinstance(p, AffineMapD):
         return p.matrix, p.offset
+    if isinstance(p, MinskyOp) and p.op != "zero":
+        step = 1 if p.op == "inc" else -1
+        ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        return ident, tuple(step if i == p.counter - 1 else 0 for i in range(dim))
     return None
 
 
@@ -330,21 +345,27 @@ def apply(m: Machine, t: Transition, c: Configuration) -> Configuration | None:
     return Configuration(t.target, got)
 
 
-def effective_domain(p: AffineMap1) -> SemilinearSet:
-    """The set of counter values where a scalar affine payload is defined."""
+def domain_clause(p: AffineMap1) -> Clause:
+    """The counter values where a scalar affine payload is defined, as one clause.
+
+    That is ``{n >= 0 : a*n + b >= 0}`` intersected with the guard: all of N
+    or nothing when a = 0, an upward ray from ``ceil(-b / a)`` when a > 0, and
+    the interval ``[0, b // -a]`` (empty for b < 0) when a < 0.
+    """
     if p.a > 0:
-        lo = (-p.b + p.a - 1) // p.a if p.b < 0 else 0
-        dom = interval(lo, None)
+        dom = Clause(_cdiv(-p.b, p.a) if p.b < 0 else 0, None)
     elif p.a == 0:
-        dom = FULL if p.b >= 0 else EMPTY
+        dom = Clause(0, None) if p.b >= 0 else EMPTY_CLAUSE
     else:
-        if p.b < 0:
-            dom = EMPTY
-        else:
-            dom = interval(0, p.b // -p.a)
+        dom = Clause(0, p.b // -p.a) if p.b >= 0 else EMPTY_CLAUSE
     if p.guard is not None:
-        dom = dom.intersect(semilinear([p.guard]))
+        dom = intersect_clauses(dom, p.guard)
     return dom
+
+
+def effective_domain(p: AffineMap1) -> SemilinearSet:
+    """:func:`domain_clause` as a set: empty, or that one clause."""
+    return semilinear([domain_clause(p)])
 
 
 def negative_transitions(m: Machine) -> list[Transition]:

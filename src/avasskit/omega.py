@@ -13,15 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import FlavorError, GuardedMachineError
-from .machine import (
-    AffineMap1,
-    AffineMapD,
-    Configuration,
-    Machine,
-    MinskyOp,
-    Payload,
-    classify,
-)
+from .machine import AffineMap1, Configuration, Machine, Payload, _matrix_of, classify
 
 __all__ = [
     "OMEGA",
@@ -70,18 +62,10 @@ def abstract(values: tuple[int, ...], cutoff: int) -> OmegaVector:
     return OmegaVector(tuple(v if v <= cutoff else OMEGA for v in values), cutoff)
 
 
-def _matrix_view(p: Payload, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    if isinstance(p, AffineMap1):
-        if p.guard is not None:
-            raise GuardedMachineError(
-                "the cutoff abstraction reads bare updates; guards have no ω semantics")
-        return ((p.a,),), (p.b,)
-    if isinstance(p, AffineMapD):
-        return p.matrix, p.offset
-    if isinstance(p, MinskyOp) and p.op == "inc":
-        ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        return ident, tuple(int(i == p.counter - 1) for i in range(dim))
-    raise FlavorError(f"no totally positive matrix form for payload {p!r}")
+def _refuse_guard(p: Payload) -> None:
+    if isinstance(p, AffineMap1) and p.guard is not None:
+        raise GuardedMachineError(
+            "the cutoff abstraction reads bare updates; guards have no ω semantics")
 
 
 def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
@@ -92,7 +76,11 @@ def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
     nonnegative rows, where no later term can shrink the sum; negative
     entries are refused.
     """
-    matrix, offset = _matrix_view(p, len(v.entries))
+    _refuse_guard(p)
+    view = _matrix_of(p, len(v.entries))
+    if view is None:
+        raise FlavorError(f"no totally positive matrix form for payload {p!r}")
+    matrix, offset = view
     if any(k < 0 for row in matrix for k in row) or any(b < 0 for b in offset):
         raise FlavorError("abstract stepping needs a nonnegative matrix and offset")
     out = []
@@ -126,9 +114,7 @@ def reachable_totally_positive(m: Machine, source: Configuration,
             "this route needs a totally positive machine "
             "(nonnegative matrices, nonnegative offsets, no zero tests)")
     for t in m.transitions:
-        if isinstance(t.payload, AffineMap1) and t.payload.guard is not None:
-            raise GuardedMachineError(
-                "the cutoff abstraction reads bare updates; guards have no ω semantics")
+        _refuse_guard(t.payload)
     m.check_configuration(source)
     m.check_configuration(target)
     cutoff = max(max(target.counters), 1)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .errors import ArityError, BudgetExceededError
+from .semiset import _cdiv
 
 # --------------------------------------------------------------------------
 # terms
@@ -340,11 +341,6 @@ def _small_model_bound(rows: list[tuple[dict[str, int], int]], vars_: list[str])
                 if d > best:
                     best = d
     return (n + 1) * best
-
-
-def _cdiv(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0, any-sign a."""
-    return -((-a) // b)
 
 
 def _solve_rows(

@@ -5,14 +5,17 @@ counter values from which a target configuration is reachable.  The fixpoint
 sweeps two exact operations until nothing changes:
 
 * :func:`pre_transition` — the preimage of a semilinear set under one
-  transition's affine update (guards included);
+  transition's affine update, limited to the transition's domain
+  (:func:`~avasskit.machine.domain_clause`: where the result is a natural and
+  the guard holds);
 * :func:`pre_cycle_star` — the predecessors through *any positive number* of
   turns around one simple cycle, in closed form.  The cycle's composed update
   ``n -> a*n + b`` and its entry guard decide the shape: finite guards are
   enumerated; translation cycles (a = 1) reduce to per-residue-class least/
   greatest witness elements; growth cycles (a >= 2) split into an explicitly
   enumerated low region and residue-class tails with computable thresholds;
-  constant cycles (a = 0) collapse to a single membership test.
+  constant cycles (a = 0) collapse to a single membership test.  Both
+  enumerations walk each start's orbit in one loop, :func:`_orbit_hits`.
 
 Acceleration through cycles is what makes the sweep reach a fixpoint at all:
 transition preimages alone would descend through an unbounded chain.  A sweep
@@ -25,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BudgetExceededError, FlavorError
 from .machine import (
@@ -33,6 +37,7 @@ from .machine import (
     Machine,
     Transition,
     UpwardTarget,
+    domain_clause,
     effective_domain,
 )
 from .semiset import (
@@ -40,6 +45,7 @@ from .semiset import (
     EMPTY_CLAUSE,
     Clause,
     SemilinearSet,
+    _cdiv,
     from_values,
     intersect_clauses,
     interval,
@@ -48,11 +54,6 @@ from .semiset import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _cdiv(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0."""
-    return -((-a) // b)
 
 
 # --------------------------------------------------------------------------
@@ -115,23 +116,11 @@ class SimpleCycle:
     guard: Clause
 
 
-def _domain_clause(p: AffineMap1) -> Clause:
-    if p.a > 0:
-        base = Clause(_cdiv(-p.b, p.a) if p.b < 0 else 0, None)
-    elif p.a == 0:
-        base = Clause(0, None) if p.b >= 0 else EMPTY_CLAUSE
-    else:
-        base = Clause(0, p.b // -p.a) if p.b >= 0 else EMPTY_CLAUSE
-    if p.guard is not None:
-        base = intersect_clauses(base, p.guard)
-    return base
-
-
 def _build_cycle(root: str, steps: list[Transition]) -> SimpleCycle | None:
     alpha, beta = 1, 0
     guard = Clause(0, None)
     for t in steps:
-        dc = _domain_clause(t.payload)
+        dc = domain_clause(t.payload)
         guard = intersect_clauses(guard, _affine_preimage_clause(alpha, beta, dc))
         if guard.is_empty:
             return None
@@ -190,15 +179,15 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
     g = cycle.guard
     if g.is_empty or s.is_empty:
         return s
-    if g.hi is not None:
-        return s.union(_cycle_pre_enumerated(a, b, g, s, g.hi))
-    if a < 0:
-        # infinite guard with a shrinking map cannot happen for built cycles
-        # (the last step's domain pullback bounds the guard); enumerate anyway.
-        bound = b // -a if b >= 0 else -1
-        if bound < 0:
-            return s
-        return s.union(_cycle_pre_enumerated(a, b, g, s, bound))
+    if g.hi is not None or a < 0:
+        # an infinite guard with a shrinking map cannot happen for built cycles
+        # (the last step's domain pullback bounds the guard); enumerate anyway,
+        # up to the last value the map keeps inside N.
+        starts = list(g.values(g.hi if g.hi is not None else b // -a))
+        if len(starts) > GUARD_ENUM_CAP:
+            raise BudgetExceededError(
+                f"cycle guard enumeration of {len(starts)} values over budget")
+        return s.union(_orbit_hits(a, b, g, s, starts))
     if a == 0:
         return s.union(semilinear([g]) if s.member(b) else EMPTY)
     if a == 1:
@@ -208,12 +197,15 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
     return s.union(_cycle_pre_growth(a, b, g, s))
 
 
-def _cycle_pre_enumerated(a: int, b: int, g: Clause, s: SemilinearSet,
-                          bound: int) -> SemilinearSet:
-    starts = list(g.values(bound))
-    if len(starts) > GUARD_ENUM_CAP:
-        raise BudgetExceededError(
-            f"cycle guard enumeration of {len(starts)} values over budget")
+def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[int],
+                escape: tuple[int, SemilinearSet] | None = None) -> SemilinearSet:
+    """The starts whose orbit under n -> a*n + b enters s after >= 1 guarded turns.
+
+    A walk ends when its value leaves the guard (a negative value always
+    does) or repeats.  With ``escape = (low, tail)`` a walk also ends once it
+    climbs past ``low``, and its start is a hit iff that value is in ``tail``.
+    """
+    low, tail = escape if escape is not None else (None, EMPTY)
     hit = []
     for n in starts:
         v = n
@@ -221,10 +213,12 @@ def _cycle_pre_enumerated(a: int, b: int, g: Clause, s: SemilinearSet,
         while g.member(v) and v not in seen:
             seen.add(v)
             v = a * v + b
-            if v < 0:
-                break
             if s.member(v):
                 hit.append(n)
+                break
+            if low is not None and v > low:
+                if tail.member(v):
+                    hit.append(n)
                 break
     return from_values(hit)
 
@@ -282,30 +276,10 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
     strict_from = _cdiv(1 - b, a - 1)  # a*n + b >= n + 1 from here on
     low = max(strict_from, r, 0)
 
-    tail_clauses = _growth_tail_clauses(a, b, g, s, low, period)
-    tail = semilinear(tail_clauses)
-
+    tail = semilinear(_growth_tail_clauses(a, b, g, s, low, period))
     # explicit region: guarded starts up to `low`; orbits either die on the
     # guard, repeat, or climb past `low` into the tail regime
-    hit = []
-    for n in g.values(low):
-        v = n
-        seen: set[int] = set()
-        member = False
-        while True:
-            if not g.member(v) or v in seen:
-                break
-            seen.add(v)
-            v = a * v + b
-            if s.member(v):
-                member = True
-                break
-            if v > low:
-                member = tail.member(v)
-                break
-        if member:
-            hit.append(n)
-    return from_values(hit).union(tail)
+    return _orbit_hits(a, b, g, s, g.values(low), (low, tail)).union(tail)
 
 
 def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
@@ -403,7 +377,6 @@ def _check_flavor(m: Machine) -> None:
 def _pre_star_fixpoint(m: Machine, target: Configuration | UpwardTarget,
                        seed: SemilinearSet, max_sweeps: int,
                        cycle_cap: int) -> PreStarResult:
-    _check_flavor(m)
     cycles_by_root: dict[str, list[SimpleCycle]] = {q: [] for q in m.states}
     for cyc in enumerate_simple_cycles(m, cycle_cap):
         cycles_by_root[cyc.root].append(cyc)

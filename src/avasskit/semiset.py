@@ -22,6 +22,11 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
+def _cdiv(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0, any-sign a."""
+    return -((-a) // b)
+
+
 def _ones(n: int) -> int:
     return (1 << n) - 1
 

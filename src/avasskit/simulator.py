@@ -12,6 +12,7 @@ discovered, which is the documented meaning of the budget for that flavor.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -171,7 +172,6 @@ def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuratio
     if total > budget.max_configs:
         raise BudgetExceededError(
             f"upward seed region has {total} configurations, budget {budget.max_configs}")
-    import itertools
     for vs in itertools.product(*ranges):
         seeds.append(Configuration(cfg.state, vs))
     return seeds, False
@@ -215,7 +215,6 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
 
 def _pre_star_via_forward(m: Machine, seeds: list[Configuration], truncated: bool,
                           budget: Budget) -> ExplorationResult:
-    import itertools
     d = m.dimension
     window = (budget.max_value + 1) ** d * len(m.states)
     if window > budget.max_configs:

@@ -5,11 +5,13 @@ confirm the installed surface agrees.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import avasskit
 from avasskit.cli import main
 from avasskit.frontend import parse_formula, parse_machine, serialize_machine
 from avasskit.presburger import evaluate
@@ -330,8 +332,11 @@ def test_sim_budget_flags(capsys, m1_file):
 
 
 def test_module_entry_point_runs():
+    # run the same package this session imported, installed or not
+    root = os.path.dirname(os.path.dirname(avasskit.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "avasskit.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "avasskit 0.1.0" in proc.stdout

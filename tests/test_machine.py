@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from avasskit.errors import FlavorError, MachineError
@@ -14,7 +16,9 @@ from avasskit.machine import (
     RelationalUpdate,
     Transition,
     apply,
+    apply_payload,
     classify,
+    domain_clause,
     effective_domain,
     negative_transitions,
     successors,
@@ -233,6 +237,22 @@ def test_effective_domain_cases():
     assert not dom.member(12) and dom.member(13)
     dom2 = effective_domain(AffineMap1(2, -13))
     assert not dom2.member(6) and dom2.member(7)
+
+
+def test_domain_matches_apply_payload_randomized():
+    rng = random.Random(2611)
+    for _ in range(300):
+        guard = None
+        if rng.random() < 0.5:
+            lo = rng.randint(0, 30)
+            hi = None if rng.random() < 0.5 else lo + rng.randint(-3, 60)
+            modulus = rng.randint(1, 6)
+            guard = Clause(lo, hi, modulus, rng.randrange(modulus))
+        p = AffineMap1(rng.randint(-3, 3), rng.randint(-20, 20), guard)
+        dom, clause = effective_domain(p), domain_clause(p)
+        for n in range(201):
+            defined = apply_payload(p, (n,)) is not None
+            assert dom.member(n) == clause.member(n) == defined, (p, n)
 
 
 def test_effective_domain_with_guard():

@@ -172,6 +172,11 @@ def test_flavor_gate_rejections():
     with pytest.raises(GuardedMachineError):
         reachable_totally_positive(guarded, Configuration("q", (0,)),
                                    Configuration("q", (1,)))
+    # apply_abstract is public and refuses on its own, not only behind the gate
+    with pytest.raises(GuardedMachineError):
+        apply_abstract(AffineMap1(1, 1, Clause(0, None, 2, 0)), abstract((0,), 1))
+    with pytest.raises(FlavorError):
+        apply_abstract(MinskyOp("zero", 1), abstract((0, 0), 1))
 
 
 def random_totally_positive_machine(rng: random.Random) -> Machine:
