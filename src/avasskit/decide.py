@@ -22,6 +22,7 @@ from .machine import (
     Transition,
     UpwardTarget,
     effective_domain,
+    negative_transitions,
     relational_variables,
 )
 from .presburger import Comparison, conj, const, exists_solution, var
@@ -169,9 +170,7 @@ def is_well_structured(m: Machine, **limits: int) -> WellStructuredVerdict:
                 f"transition {t.source} -> {t.target} carries an explicit guard; "
                 "the well-structure criterion assumes bare nonnegativity domains")
     calls = 0
-    for t in m.transitions:
-        if t.payload.a >= 0 or t.payload.b < 0:
-            continue
+    for t in negative_transitions(m):
         goal = UpwardTarget(Configuration(t.target, (t.payload.b,)))
         result = compute_pre_star_upward(m, goal, **limits)
         calls += 1

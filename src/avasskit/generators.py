@@ -18,7 +18,6 @@ from .errors import FlavorError, MachineError
 from .machine import (
     AffineMap1,
     AffineMapD,
-    Configuration,
     Machine,
     MinskyOp,
     RelationalUpdate,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import FlavorError, MachineError
 from .semiset import (
@@ -378,11 +378,3 @@ def negative_transitions(m: Machine) -> list[Transition]:
             out.append(t)
     return out
 
-
-def successors(m: Machine, c: Configuration) -> Iterator[tuple[Transition, Configuration]]:
-    """All one-step successors of a configuration of a functional machine."""
-    m.check_configuration(c)
-    for t in m.transitions_from(c.state):
-        got = apply_payload(t.payload, c.counters)
-        if got is not None:
-            yield t, Configuration(t.target, got)

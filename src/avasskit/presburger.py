@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ArityError, BudgetExceededError
 from .semiset import _cdiv

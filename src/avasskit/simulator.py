@@ -5,6 +5,21 @@ soundness hedge but the point: within the explored region the results are
 exact, and ``truncated`` says whether the region's edge was hit.  The symbolic
 modules are tested by agreement with these explorations on their safe regions.
 
+:func:`post_star`, :func:`find_path` and :func:`pre_star_bounded` are one
+breadth-first search, :func:`_search`, run over a step function: forward steps
+for the first two, backward steps for the third.  The search owns the budget:
+``max_depth`` caps the number of steps from a start, ``max_configs`` the
+number of visited configurations, and a step to a counter above ``max_value``
+is a cut, never followed.  Any of the three sets ``truncated``.
+
+* Forward, ``truncated`` means some configuration reachable from the start
+  may have been missed: a successor above the window, or a budget hit.
+* Backward, it means some configuration that reaches the target may have
+  been missed: a predecessor (guard included) above the window, or a budget
+  hit.  Matrix and relational machines have no backward step of their own;
+  they walk the reverse of the forward steps over the whole window, and
+  there any window configuration with a successor above the window sets it.
+
 Relational machines of dimension 1 are explored by scanning candidate
 successor values up to ``max_value``; values beyond the budget are never
 discovered, which is the documented meaning of the budget for that flavor.
@@ -13,10 +28,8 @@ discovered, which is the documented meaning of the budget for that flavor.
 from __future__ import annotations
 
 import itertools
-import logging
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, FlavorError
 from .machine import (
@@ -24,16 +37,16 @@ from .machine import (
     Configuration,
     Machine,
     MinskyOp,
-    RelationalUpdate,
     Transition,
     UpwardTarget,
     apply_payload,
-    effective_domain,
+    domain_clause,
     relational_variables,
 )
 from .presburger import evaluate
+from .semiset import Clause, intersect_clauses
 
-log = logging.getLogger(__name__)
+Step = tuple[Transition, Configuration, bool]
 
 
 @dataclass(frozen=True)
@@ -60,9 +73,48 @@ def _within(counters: tuple[int, ...], max_value: int) -> bool:
     return all(v <= max_value for v in counters)
 
 
-def _forward_steps(m: Machine, c: Configuration,
-                   budget: Budget) -> Iterator[tuple[Transition, Configuration, bool]]:
-    """Yield (transition, successor, cut) triples; cut marks budget-clipped branches."""
+def _search(starts: Iterable[Configuration], steps: Callable[[Configuration], Iterable[Step]],
+            budget: Budget, goal: Callable[[Configuration], bool] | None = None
+            ) -> tuple[dict[Configuration, Configuration | None], Configuration | None, bool]:
+    """Breadth-first search from ``starts`` along ``steps`` within ``budget``.
+
+    ``steps(c)`` yields ``(transition, configuration, cut)`` triples; cut
+    steps leave the window and only set ``truncated``.  Returns
+    ``(parents, found, truncated)``: parents maps every visited configuration
+    to the one it was first reached from (None for a start), and found is
+    the first visited configuration that satisfies ``goal``, where the
+    search stops, or None.
+    """
+    parents: dict[Configuration, Configuration | None] = dict.fromkeys(starts)
+    if goal is not None:
+        for c in parents:
+            if goal(c):
+                return parents, c, False
+    truncated = False
+    frontier = list(parents)
+    depth = 0
+    while frontier:
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            return parents, None, True
+        depth += 1
+        reached = []
+        for c in frontier:
+            for _, nxt, cut in steps(c):
+                if cut:
+                    truncated = True
+                elif nxt not in parents:
+                    if len(parents) >= budget.max_configs:
+                        return parents, None, True
+                    parents[nxt] = c
+                    if goal is not None and goal(nxt):
+                        return parents, nxt, truncated
+                    reached.append(nxt)
+        frontier = reached
+    return parents, None, truncated
+
+
+def _forward_steps(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
+    """Yield (transition, successor, cut) triples; cut marks successors above max_value."""
     if m.flavor == "relational":
         if m.dimension != 1:
             raise FlavorError(
@@ -90,70 +142,67 @@ def post_star(m: Machine, start: Configuration,
     m.check_configuration(start)
     if not _within(start.counters, budget.max_value):
         return ExplorationResult(frozenset(), True)
-    seen = {start}
-    frontier = deque([(start, 0)])
-    truncated = False
-    while frontier:
-        c, depth = frontier.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            truncated = True
-            continue
-        for _, nxt, cut in _forward_steps(m, c, budget):
-            if cut:
-                truncated = True
-                continue
-            if nxt in seen:
-                continue
-            if len(seen) >= budget.max_configs:
-                truncated = True
-                log.debug("post_star config budget hit at %s", nxt)
-                return ExplorationResult(frozenset(seen), True)
-            seen.add(nxt)
-            frontier.append((nxt, depth + 1))
-    return ExplorationResult(frozenset(seen), truncated)
+    parents, _, truncated = _search([start], lambda c: _forward_steps(m, c, budget), budget)
+    return ExplorationResult(frozenset(parents), truncated)
 
 
-def _backward_steps_affine1(m: Machine, c: Configuration,
-                            budget: Budget) -> Iterator[Configuration]:
+def _backward_steps_affine1(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
+    """Yield (transition, predecessor, cut) triples; cut marks predecessors above max_value."""
     v = c.counter
     for t in m.transitions_to(c.state):
         p: AffineMap1 = t.payload
         if p.a == 0:
             if v == p.b:
-                dom = effective_domain(p)
+                dom = domain_clause(p)
                 for n in dom.values(budget.max_value):
-                    yield Configuration(t.source, (n,))
+                    yield t, Configuration(t.source, (n,)), False
+                beyond = intersect_clauses(dom, Clause(budget.max_value + 1))
+                if not beyond.is_empty:
+                    yield t, Configuration(t.source, (beyond.lo,)), True
             continue
-        num = v - p.b
-        if num % p.a != 0:
+        n, rest = divmod(v - p.b, p.a)
+        if rest or n < 0 or (p.guard is not None and not p.guard.member(n)):
             continue
-        n = num // p.a
-        if n < 0 or n > budget.max_value:
-            continue
-        if p.a * n + p.b != v:  # sign sanity for negative a
-            continue
-        if p.guard is not None and not p.guard.member(n):
-            continue
-        yield Configuration(t.source, (n,))
+        yield t, Configuration(t.source, (n,)), n > budget.max_value
 
 
-def _backward_steps_minsky(m: Machine, c: Configuration,
-                           budget: Budget) -> Iterator[tuple[Configuration, bool]]:
+def _backward_steps_minsky(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
+    """Yield (transition, predecessor, cut) triples; cut marks predecessors above max_value."""
     for t in m.transitions_to(c.state):
         p: MinskyOp = t.payload
         i = p.counter - 1
         vs = c.counters
         if p.op == "inc":
             if vs[i] >= 1:
-                yield Configuration(t.source, vs[:i] + (vs[i] - 1,) + vs[i + 1:]), False
+                yield t, Configuration(t.source, vs[:i] + (vs[i] - 1,) + vs[i + 1:]), False
         elif p.op == "dec":
-            if vs[i] + 1 > budget.max_value:
-                yield c, True  # predecessor exists but lies outside the budget
-            else:
-                yield Configuration(t.source, vs[:i] + (vs[i] + 1,) + vs[i + 1:]), False
-        else:
-            if vs[i] == 0:
-                yield Configuration(t.source, vs), False
+            up = vs[:i] + (vs[i] + 1,) + vs[i + 1:]
+            yield t, Configuration(t.source, up), vs[i] + 1 > budget.max_value
+        elif vs[i] == 0:
+            yield t, Configuration(t.source, vs), False
+
+
+def _window_predecessors(m: Machine,
+                         budget: Budget) -> tuple[dict[Configuration, list[Step]], bool]:
+    """Reverse of the forward steps over the whole window, for machines with no
+    backward step of their own; the flag says whether any window configuration
+    has a successor above the window."""
+    d = m.dimension
+    window = (budget.max_value + 1) ** d * len(m.states)
+    if window > budget.max_configs:
+        raise BudgetExceededError(
+            f"window of {window} configurations exceeds budget {budget.max_configs}")
+    reverse: dict[Configuration, list[Step]] = {}
+    truncated = False
+    for q in m.states:
+        for vs in itertools.product(range(budget.max_value + 1), repeat=d):
+            c = Configuration(q, vs)
+            for t, nxt, cut in _forward_steps(m, c, budget):
+                if cut:
+                    truncated = True
+                else:
+                    reverse.setdefault(nxt, []).append((t, c, False))
+    return reverse, truncated
 
 
 def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuration], bool]:
@@ -182,62 +231,20 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
     """All configurations with counters <= max_value from which target is reachable.
 
     Exact within the budgeted window for scalar affine and counter-op flavors;
-    matrix and 1-dim relational flavors go through a forward adjacency of the
+    matrix and 1-dim relational flavors go through a reverse adjacency of the
     whole window, budget permitting.
     """
     seeds, truncated = _seed_configs(m, target, budget)
-    flavor = m.flavor
-    if flavor in ("affined", "relational"):
-        return _pre_star_via_forward(m, seeds, truncated, budget)
-    seen = set(seeds)
-    frontier = deque((s, 0) for s in seeds)
-    while frontier:
-        c, depth = frontier.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            truncated = True
-            continue
-        if flavor == "affine1":
-            preds: Iterator = ((p, False) for p in _backward_steps_affine1(m, c, budget))
-        else:
-            preds = _backward_steps_minsky(m, c, budget)
-        for pred, cut in preds:
-            if cut:
-                truncated = True
-                continue
-            if pred in seen:
-                continue
-            if len(seen) >= budget.max_configs:
-                return ExplorationResult(frozenset(seen), True)
-            seen.add(pred)
-            frontier.append((pred, depth + 1))
-    return ExplorationResult(frozenset(seen), truncated)
-
-
-def _pre_star_via_forward(m: Machine, seeds: list[Configuration], truncated: bool,
-                          budget: Budget) -> ExplorationResult:
-    d = m.dimension
-    window = (budget.max_value + 1) ** d * len(m.states)
-    if window > budget.max_configs:
-        raise BudgetExceededError(
-            f"window of {window} configurations exceeds budget {budget.max_configs}")
-    reverse: dict[Configuration, list[Configuration]] = {}
-    for q in m.states:
-        for vs in itertools.product(range(budget.max_value + 1), repeat=d):
-            c = Configuration(q, vs)
-            for _, nxt, cut in _forward_steps(m, c, budget):
-                if cut:
-                    truncated = True
-                    continue
-                reverse.setdefault(nxt, []).append(c)
-    seen = set(seeds)
-    frontier = deque(seeds)
-    while frontier:
-        c = frontier.popleft()
-        for pred in reverse.get(c, ()):
-            if pred not in seen:
-                seen.add(pred)
-                frontier.append(pred)
-    return ExplorationResult(frozenset(seen), truncated)
+    if m.flavor == "affine1":
+        steps = lambda c: _backward_steps_affine1(m, c, budget)
+    elif m.flavor == "minsky":
+        steps = lambda c: _backward_steps_minsky(m, c, budget)
+    else:
+        reverse, window_cut = _window_predecessors(m, budget)
+        truncated = truncated or window_cut
+        steps = lambda c: reverse.get(c, ())
+    parents, _, clipped = _search(seeds, steps, budget)
+    return ExplorationResult(frozenset(parents), truncated or clipped)
 
 
 def _matches(c: Configuration, target: Configuration | UpwardTarget) -> bool:
@@ -259,33 +266,18 @@ def find_path(m: Machine, start: Configuration,
     m.check_configuration(start)
     if not _within(start.counters, budget.max_value):
         return None, True
-    if _matches(start, target):
-        return [], False
-    parents: dict[Configuration, tuple[Configuration, Transition]] = {start: None}
-    frontier = deque([(start, 0)])
-    truncated = False
-    while frontier:
-        c, depth = frontier.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            truncated = True
-            continue
-        for t, nxt, cut in _forward_steps(m, c, budget):
-            if cut:
-                truncated = True
-                continue
-            if nxt in parents:
-                continue
-            if len(parents) >= budget.max_configs:
-                return None, True
-            parents[nxt] = (c, t)
-            if _matches(nxt, target):
-                steps = []
-                cur = nxt
-                while parents[cur] is not None:
-                    prev, tr = parents[cur]
-                    steps.append((tr, cur))
-                    cur = prev
-                steps.reverse()
-                return steps, truncated
-            frontier.append((nxt, depth + 1))
-    return None, truncated
+    parents, found, truncated = _search(
+        [start], lambda c: _forward_steps(m, c, budget), budget, lambda c: _matches(c, target))
+    if found is None:
+        return None, truncated
+    path = [found]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    # the transition a configuration was first reached by is the first one
+    # out of its parent that yields it, as the search tried them in that order
+    steps = []
+    for prev, nxt in zip(path, path[1:]):
+        t = next(t for t, c, cut in _forward_steps(m, prev, budget) if c == nxt and not cut)
+        steps.append((t, nxt))
+    return steps, truncated

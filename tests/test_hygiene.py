@@ -1,0 +1,34 @@
+"""Source hygiene: every name a package module imports is used there or exported."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import avasskit
+
+PACKAGE = Path(avasskit.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_import_is_used_or_exported():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[path.name] = sorted(names)
+    assert unused == {}

@@ -21,7 +21,6 @@ from avasskit.machine import (
     domain_clause,
     effective_domain,
     negative_transitions,
-    successors,
 )
 from avasskit.presburger import Comparison, var
 from avasskit.semiset import Clause
@@ -142,13 +141,6 @@ def test_apply_relational_is_a_flavor_error():
     m = Machine("m", 1, ("a",), (Transition("a", "a", RelationalUpdate(f)),))
     with pytest.raises(FlavorError):
         apply(m, m.transitions[0], Configuration("a", (0,)))
-
-
-def test_successors_enumeration():
-    m = m1()
-    got = {(t.payload.a, t.payload.b, c.counter)
-           for t, c in successors(m, Configuration("q1", (19,)))}
-    assert got == {(1, -13, 6), (-1, 19, 0)}
 
 
 # --- classification ----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from avasskit.errors import BudgetExceededError
 from avasskit.machine import (
     AffineMap1,
+    AffineMapD,
     Configuration,
     Machine,
     MinskyOp,
@@ -17,7 +18,8 @@ from avasskit.machine import (
     UpwardTarget,
     apply,
 )
-from avasskit.presburger import Comparison, var
+from avasskit.presburger import Comparison, const, var
+from avasskit.semiset import Clause
 from avasskit.simulator import Budget, find_path, post_star, pre_star_bounded
 
 
@@ -140,10 +142,42 @@ def test_pre_star_constant_transition_backward():
     assert none.states_to_values().get("a") is None
 
 
+def test_pre_star_bounded_truncated_by_predecessors_past_the_window():
+    # q2:61 -> q2:58 -> ... -> q2:19 -> q1:19 reaches the target from above
+    # the window, so a window of 60 is not the whole answer.
+    assert find_path(m1(), Configuration("q2", (61,)), Configuration("q1", (19,)),
+                     Budget(max_value=61))[0] is not None
+    assert pre_star_bounded(m1(), Configuration("q1", (19,)), Budget(max_value=60)).truncated
+    # A predecessor past the window counts only where the guard holds.
+    shift = Machine("g", 1, ("a", "b"), (
+        Transition("a", "b", AffineMap1(1, -5, Clause(0, 20))),))
+    assert pre_star_bounded(shift, Configuration("b", (10,)), Budget(max_value=12)).truncated
+    assert not pre_star_bounded(shift, Configuration("b", (16,)), Budget(max_value=16)).truncated
+    # An a = 0 transition: its domain past the window, guard included.
+    const7 = Machine("c", 1, ("a", "b"), (
+        Transition("a", "b", AffineMap1(0, 7, Clause(0, 20))),))
+    assert pre_star_bounded(const7, Configuration("b", (7,)), Budget(max_value=15)).truncated
+    got = pre_star_bounded(const7, Configuration("b", (7,)), Budget(max_value=20))
+    assert not got.truncated and len(got.configs) == 22
+
+
+def test_pre_star_bounded_depth_budget_every_flavor():
+    minus1 = Comparison(var("x'").minus(var("x")).plus(const(1)), "=")
+    cases = [
+        (Machine("f", 1, ("a",), (Transition("a", "a", AffineMap1(1, -1)),)), (0,)),
+        (Machine("d", 2, ("a",), (Transition("a", "a", AffineMapD(((1, 0), (0, 1)), (-1, 0))),)),
+         (0, 0)),
+        (Machine("r", 1, ("a",), (Transition("a", "a", RelationalUpdate(minus1)),)), (0,)),
+    ]
+    for m, zero in cases:
+        got = pre_star_bounded(m, Configuration("a", zero), Budget(max_value=5, max_depth=2))
+        assert got.truncated, m.name
+        assert {c.counters[0] for c in got.configs} == {0, 1, 2}, m.name
+
+
 def test_pre_star_via_forward_window_budget():
     p = Machine("d", 2, ("a",), (
-        Transition("a", "a", __import__("avasskit.machine", fromlist=["AffineMapD"]).AffineMapD(
-            ((1, 0), (0, 1)), (1, 0))),))
+        Transition("a", "a", AffineMapD(((1, 0), (0, 1)), (1, 0))),))
     with pytest.raises(BudgetExceededError):
         pre_star_bounded(p, Configuration("a", (0, 0)), Budget(max_value=1000, max_configs=100))
 
