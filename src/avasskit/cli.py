@@ -126,8 +126,7 @@ def _cmd_prestar(args) -> int:
             "sets": {q: result.sets[q].to_json_obj() for q in m.states},
         })
     else:
-        compacted = {q: result.sets[q].compact() for q in m.states}
-        sys.stdout.write(render_state_sets(m.states, compacted))
+        sys.stdout.write(render_state_sets(m.states, result.sets))
     return 0
 
 

@@ -17,6 +17,9 @@ sweeps two exact operations until nothing changes:
   constant cycles (a = 0) collapse to a single membership test.  Both
   enumerations walk each start's orbit in one loop, :func:`_orbit_hits`.
 
+Every set the fixpoint stores is in the minimal form
+(:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print.
+
 Acceleration through cycles is what makes the sweep reach a fixpoint at all:
 transition preimages alone would descend through an unbounded chain.  A sweep
 cap turns divergence (or an enumeration blow-up) into BudgetExceededError —
@@ -241,9 +244,7 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
             out.append(intersect_clauses(shifted, g))
         return semilinear(out)
     for x in s.clauses:
-        for c_res in range(beta):
-            if c_res % gm != gr:
-                continue
+        for c_res in range(gr, beta, gm):
             if b < 0:
                 # least landing value m = n - i*beta with m ≡ n (mod beta),
                 # m in x, and the last guarded input m + beta >= r
@@ -355,7 +356,7 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
 
 @dataclass(frozen=True)
 class PreStarResult:
-    """Per-state predecessor sets of a target, plus how many sweeps it took."""
+    """Per-state predecessor sets of a target, each minimal, plus how many sweeps it took."""
 
     machine: Machine
     target: Configuration | UpwardTarget

@@ -7,11 +7,12 @@ variable by quantifier-free linear arithmetic with divisibility, and they are
 closed under every operation this module exposes: union, intersection,
 complement, inclusion, equality, upward closure.
 
-Equality, inclusion, complement and compaction all go through one canonical
-form: a threshold ``T``, a period ``L``, a bitmask of the members below ``T``
-and a bitmask of the residues mod ``L`` that are members from ``T`` on.  Masks
-are plain Python ints, so set algebra runs at word speed even when ``L`` is in
-the millions (which happens when many cycle moduli pile up).
+Equality and inclusion compare the masks of a canonical frame: a threshold
+``T``, a period ``L``, a bitmask of the members below ``T`` and a bitmask of the
+residues mod ``L`` that are members from ``T`` on.  Masks are plain Python ints,
+so comparison runs at word speed even when ``L`` is in the millions (which
+happens when many cycle moduli pile up).  Clauses are rebuilt from the masks
+one way only, into the minimal form of :func:`_minimal`, which equal sets share.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class SemilinearSet:
 
     def complement(self) -> "SemilinearSet":
         t, l, fmask, rmask = self._canon
-        return _from_masks(t, l, ~fmask & _ones(t), ~rmask & _ones(l))
+        return _minimal(t, l, ~fmask & _ones(t), ~rmask & _ones(l))
 
     def equal(self, other: "SemilinearSet") -> bool:
         t, l = self._frame_with(other)
@@ -238,48 +239,10 @@ class SemilinearSet:
         return interval(m, None)
 
     def normalized(self) -> "SemilinearSet":
-        """Equivalent set rebuilt from the canonical form (compact, deduplicated)."""
-        return _from_masks(*self._canon)
+        """The minimal form of this set (see :func:`_minimal`)."""
+        return _minimal(*self._canon)
 
-    def compact(self) -> "SemilinearSet":
-        """Equivalent set with the minimal eventual period and minimal tail starts.
-
-        The canonical form works over the lcm of all clause moduli, often far
-        coarser than the set's true eventual period; this rebuilds the set the
-        way a person would write it down: one unbounded clause per recurrent
-        residue class, pulled down as far as the finite part allows, and the
-        leftover finite values grouped into maximal progressions.
-        """
-        if not self.clauses:
-            return EMPTY
-        t, l, fmask, rmask = self._canon
-        width = _ones(l)
-        d = next(k for k in range(1, l + 1) if l % k == 0 and
-                 ((rmask >> k) | (rmask << (l - k))) & width == rmask)
-        absorbed = 0
-        tails = []
-        for c in range(d):
-            if not rmask >> c & 1:
-                continue
-            s = t + ((c - t) % d)
-            while s - d >= 0 and fmask >> (s - d) & 1:
-                s -= d
-                absorbed |= 1 << s
-            tails.append(Clause(s, None, d, c))
-        leftover = [n for n in range(t) if (fmask & ~absorbed) >> n & 1]
-        runs = []
-        i = 0
-        while i < len(leftover):
-            step, j = 1, i
-            if i + 1 < len(leftover):
-                step = leftover[i + 1] - leftover[i]
-                j = i + 1
-                while j + 1 < len(leftover) and leftover[j + 1] - leftover[j] == step:
-                    j += 1
-            runs.append(Clause(leftover[i], leftover[j], step, leftover[i]))
-            i = j + 1
-        out = sorted(runs + tails, key=lambda c: (c.lo, c.modulus, c.residue))
-        return SemilinearSet(tuple(out))
+    compact = normalized
 
     def values(self, limit: int) -> list[int]:
         """Sorted members <= limit."""
@@ -312,23 +275,41 @@ def semilinear(clauses: Iterable[Clause]) -> SemilinearSet:
     return SemilinearSet(tuple(kept))
 
 
-def _from_masks(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
-    clauses = []
-    # finite part: maximal runs of consecutive set bits below t
-    n = 0
-    while n < t:
-        if fmask >> n & 1:
-            start = n
-            while n < t and fmask >> n & 1:
-                n += 1
-            clauses.append(Clause(start, n - 1, 1, 0))
-        else:
-            n += 1
-    for r in range(l):
-        if rmask >> r & 1:
-            lo = t + (r - t) % l
-            clauses.append(Clause(lo, None, l, r))
-    return SemilinearSet(tuple(clauses))
+def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
+    """The minimal clause form of the set with masks (T, L, fmask, rmask).
+
+    One unbounded clause per recurrent residue class of the minimal eventual
+    period, pulled down as far as the finite part allows, and the leftover
+    finite values grouped into maximal progressions.  It depends on the
+    members alone, so equal sets get the same clauses.
+    """
+    width = _ones(l)
+    d = next(k for k in range(1, l + 1) if l % k == 0 and
+             ((rmask >> k) | (rmask << (l - k))) & width == rmask)
+    absorbed = 0
+    tails = []
+    for c in range(d):
+        if not rmask >> c & 1:
+            continue
+        s = t + ((c - t) % d)
+        while s - d >= 0 and fmask >> (s - d) & 1:
+            s -= d
+            absorbed |= 1 << s
+        tails.append(Clause(s, None, d, c))
+    leftover = [n for n in range(t) if (fmask & ~absorbed) >> n & 1]
+    runs = []
+    i = 0
+    while i < len(leftover):
+        step, j = 1, i
+        if i + 1 < len(leftover):
+            step = leftover[i + 1] - leftover[i]
+            j = i + 1
+            while j + 1 < len(leftover) and leftover[j + 1] - leftover[j] == step:
+                j += 1
+        runs.append(Clause(leftover[i], leftover[j], step, leftover[i]))
+        i = j + 1
+    out = sorted(runs + tails, key=lambda c: (c.lo, c.modulus, c.residue))
+    return SemilinearSet(tuple(out))
 
 
 EMPTY = SemilinearSet(())

@@ -18,7 +18,8 @@ is a cut, never followed.  Any of the three sets ``truncated``.
   been missed: a predecessor (guard included) above the window, or a budget
   hit.  Matrix and relational machines have no backward step of their own;
   they walk the reverse of the forward steps over the whole window, and
-  there any window configuration with a successor above the window sets it.
+  there a transition that can map a configuration above the window into
+  it sets ``truncated`` (decided by the solver; unsure counts as yes).
 
 Relational machines of dimension 1 are explored by scanning candidate
 successor values up to ``max_value``; values beyond the budget are never
@@ -31,9 +32,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceededError, FlavorError
+from .errors import ArityError, BudgetExceededError, FlavorError
 from .machine import (
     AffineMap1,
+    AffineMapD,
     Configuration,
     Machine,
     MinskyOp,
@@ -43,7 +45,7 @@ from .machine import (
     domain_clause,
     relational_variables,
 )
-from .presburger import evaluate
+from .presburger import TRUE, Comparison, LinearTerm, conj, disj, evaluate, exists_solution, var
 from .semiset import Clause, intersect_clauses
 
 Step = tuple[Transition, Configuration, bool]
@@ -182,27 +184,42 @@ def _backward_steps_minsky(m: Machine, c: Configuration, budget: Budget) -> Iter
             yield t, Configuration(t.source, vs), False
 
 
+def _enters_window(m: Machine, t: Transition, max_value: int) -> bool:
+    """Can t map a configuration above the window into it?  Yes if the solver cannot tell."""
+    xs, ys = relational_variables(m.dimension)
+    p = t.payload
+    if isinstance(p, AffineMapD):
+        succ = [LinearTerm.build(dict(zip(xs, row)), b) for row, b in zip(p.matrix, p.offset)]
+        rel = TRUE
+    else:
+        succ, rel = [var(y) for y in ys], p.formula
+    f = conj(rel, *(Comparison(y, ">=") for y in succ),
+             *(Comparison(y.shifted(-max_value), "<=") for y in succ),
+             disj(*(Comparison(var(x).shifted(-max_value - 1), ">=") for x in xs)))
+    try:
+        return exists_solution(f) is not None
+    except ArityError:
+        return True
+
+
 def _window_predecessors(m: Machine,
                          budget: Budget) -> tuple[dict[Configuration, list[Step]], bool]:
     """Reverse of the forward steps over the whole window, for machines with no
-    backward step of their own; the flag says whether any window configuration
-    has a successor above the window."""
+    backward step of their own; the flag says whether some transition maps a
+    configuration above the window into it."""
     d = m.dimension
     window = (budget.max_value + 1) ** d * len(m.states)
     if window > budget.max_configs:
         raise BudgetExceededError(
             f"window of {window} configurations exceeds budget {budget.max_configs}")
     reverse: dict[Configuration, list[Step]] = {}
-    truncated = False
     for q in m.states:
         for vs in itertools.product(range(budget.max_value + 1), repeat=d):
             c = Configuration(q, vs)
             for t, nxt, cut in _forward_steps(m, c, budget):
-                if cut:
-                    truncated = True
-                else:
+                if not cut:
                     reverse.setdefault(nxt, []).append((t, c, False))
-    return reverse, truncated
+    return reverse, any(_enters_window(m, t, budget.max_value) for t in m.transitions)
 
 
 def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuration], bool]:

@@ -347,6 +347,15 @@ def test_pre_star_m1_to_q1_19_exact_sets():
     assert res.sweeps >= 2
 
 
+def test_pre_star_m1_sets_are_stored_minimal():
+    # The one-clause-per-residue form of these sets has 51 and 48 clauses.
+    res = compute_pre_star(m1(), Configuration("q1", (19,)))
+    assert [len(res.set_for(q).clauses) for q in ("q1", "q2")] == [7, 6]
+    up = compute_pre_star_upward(m1(), UpwardTarget(Configuration("q1", (19,))))
+    for s in (*res.sets.values(), *up.sets.values()):
+        assert s == s.normalized()
+
+
 def test_pre_star_m1_matches_bounded_backward_everywhere_below_100():
     # M1 cannot climb: every value reachable from n stays below max(n, 19),
     # so the bounded backward closure below 100 is the exact answer there
@@ -411,6 +420,8 @@ def test_pre_star_random_machines_against_bounded_explorer():
         except BudgetExceededError:
             continue  # acceptance tracks budget blowups; here we skip
         checked += 1
+        for s in res.sets.values():
+            assert s == s.normalized(), m
 
         # closure: one more application of any preimage adds nothing
         for t in m.transitions:

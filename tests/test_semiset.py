@@ -191,8 +191,12 @@ def test_equal_subset_agree_with_exhaustive_scan():
         av = [a.member(n) for n in range(bound)]
         bv = [b.member(n) for n in range(bound)]
         assert a.equal(b) == (av == bv)
+        assert a.equal(b) == (a.normalized() == b.normalized())
         assert a.subset(b) == all(y for x, y in zip(av, bv) if x)
         assert a.subset(a) and a.equal(a)
+        # the same set written with more clauses has the same minimal form
+        same = a.union(a.intersect(b))
+        assert a.equal(same) and a.normalized() == same.normalized()
 
 
 def test_intersect_clauses_against_oracle():
@@ -265,5 +269,9 @@ def test_compact_preserves_membership_and_is_idempotent():
         c = s.compact()
         assert c.equal(s)
         assert c.compact() == c
+        # complement builds the same minimal form
+        comp = s.complement()
+        assert comp.normalized() == comp and comp.complement() == c
     assert EMPTY.compact() == EMPTY
     assert as_specs(FULL.compact()) == [(0, None, 1, 0)]
+    assert FULL.complement() == EMPTY and EMPTY.complement() == FULL

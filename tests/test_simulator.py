@@ -175,6 +175,28 @@ def test_pre_star_bounded_depth_budget_every_flavor():
         assert {c.counters[0] for c in got.configs} == {0, 1, 2}, m.name
 
 
+def test_pre_star_bounded_window_truncated_by_transitions_into_it():
+    # x' = x - e1 and the relational x' = x - 1 lead a:6 into a window of 5,
+    # and a:6 reaches the target: the 6 window configurations are not all.
+    minus1 = Comparison(var("x'").minus(var("x")).plus(const(1)), "=")
+    down_e1 = AffineMapD(((1, 0), (0, 1)), (-1, 0))
+    for m, zero in ((Machine("d", 2, ("a",), (Transition("a", "a", down_e1),)), (0, 0)),
+                    (Machine("r", 1, ("a",), (Transition("a", "a", RelationalUpdate(minus1)),)), (0,))):
+        target = Configuration("a", zero)
+        got = pre_star_bounded(m, target, Budget(max_value=5))
+        assert got.truncated and len(got.configs) == 6, m.name
+        above = Configuration("a", (6,) + zero[1:])
+        assert find_path(m, above, target, Budget(max_value=6))[0] is not None
+    # x' = x + e1 only leaves the window, so {a:0,0} is the whole answer.
+    up = Machine("u", 2, ("a",), (Transition("a", "a", AffineMapD(((1, 0), (0, 1)), (1, 0))),))
+    got = pre_star_bounded(up, Configuration("a", (0, 0)), Budget(max_value=5))
+    assert got.configs == {Configuration("a", (0, 0))} and not got.truncated
+    # Five counters are more than the solver takes: that counts as truncated.
+    ident = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    five = Machine("i", 5, ("a",), (Transition("a", "a", AffineMapD(ident, (0,) * 5)),))
+    assert pre_star_bounded(five, Configuration("a", (0,) * 5), Budget(max_value=1)).truncated
+
+
 def test_pre_star_via_forward_window_budget():
     p = Machine("d", 2, ("a",), (
         Transition("a", "a", AffineMapD(((1, 0), (0, 1)), (1, 0))),))
