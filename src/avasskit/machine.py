@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Union
 
 from .errors import FlavorError, MachineError
@@ -103,17 +104,20 @@ class Transition:
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
-    """A control state plus counter values (a tuple, one entry per dimension)."""
+    """A control state plus counter values (a tuple, one entry per dimension).
+
+    Slotted: explicit-state search holds many of these at once.
+    """
 
     state: str
     counters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.counters, tuple):
+        if type(self.counters) is not tuple:
             object.__setattr__(self, "counters", tuple(self.counters))
-        if any(c < 0 for c in self.counters) or not self.counters:
+        if not self.counters or min(self.counters) < 0:
             raise MachineError(f"counters must be naturals, got {self.counters}")
 
     @property
@@ -315,7 +319,7 @@ def apply_payload(p: Payload, counters: tuple[int, ...]) -> tuple[int, ...] | No
     if isinstance(p, AffineMapD):
         out = []
         for row, b in zip(p.matrix, p.offset):
-            v = sum(c * x for c, x in zip(row, counters)) + b
+            v = sum(map(mul, row, counters)) + b
             if v < 0:
                 return None
             out.append(v)

@@ -21,9 +21,11 @@ is a cut, never followed.  Any of the three sets ``truncated``.
   there a transition that can map a configuration above the window into
   it sets ``truncated`` (decided by the solver; unsure counts as yes).
 
-Relational machines of dimension 1 are explored by scanning candidate
-successor values up to ``max_value``; values beyond the budget are never
-discovered, which is the documented meaning of the budget for that flavor.
+Relational machines of dimension 1 have no successor function: the forward
+step scans the candidate values ``0..max_value`` for each transition, then
+asks the solver whether the relation also allows a successor above
+``max_value``, and yields one cut step if it does.  So ``truncated`` means
+the same for them as for the functional flavors.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ExplorationResult:
 
 
 def _within(counters: tuple[int, ...], max_value: int) -> bool:
-    return all(v <= max_value for v in counters)
+    return max(counters) <= max_value
 
 
 def _search(starts: Iterable[Configuration], steps: Callable[[Configuration], Iterable[Step]],
@@ -127,15 +129,15 @@ def _forward_steps(m: Machine, c: Configuration, budget: Budget) -> Iterator[Ste
             for v in range(budget.max_value + 1):
                 if evaluate(f, {xv: c.counter, xp: v}):
                     yield t, Configuration(t.target, (v,)), False
+            above = exists_solution(conj(f, Comparison(var(xv).shifted(-c.counter), "="),
+                                         Comparison(var(xp).shifted(-budget.max_value - 1), ">=")))
+            if above is not None:
+                yield t, Configuration(t.target, (above[xp],)), True
         return
     for t in m.transitions_from(c.state):
         got = apply_payload(t.payload, c.counters)
-        if got is None:
-            continue
-        if _within(got, budget.max_value):
-            yield t, Configuration(t.target, got), False
-        else:
-            yield t, Configuration(t.target, got), True
+        if got is not None:
+            yield t, Configuration(t.target, got), max(got) > budget.max_value
 
 
 def post_star(m: Machine, start: Configuration,

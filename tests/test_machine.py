@@ -82,7 +82,14 @@ def test_configuration_validation():
     with pytest.raises(MachineError):
         Configuration("q", (-1,))
     with pytest.raises(MachineError):
+        Configuration("q", (0, -1))
+    with pytest.raises(MachineError):
         Configuration("q", ())
+    listed = Configuration("q", [1, 2])
+    assert type(listed.counters) is tuple
+    assert listed == Configuration("q", (1, 2))
+    assert hash(listed) == hash(Configuration("q", (1, 2)))
+    assert not hasattr(listed, "__dict__")
     with pytest.raises(MachineError):
         Configuration("q", (1, 2)).counter
     assert Configuration("q", (5,)).counter == 5

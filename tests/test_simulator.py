@@ -56,6 +56,27 @@ def test_post_star_truncation_flag():
     got = post_star(grow, Configuration("a", (0,)), Budget(max_value=50))
     assert got.truncated
     assert len(got.configs) == 51
+    # two counters: one component past the window is a cut
+    up2 = Machine("g2", 2, ("a",), (Transition("a", "a", AffineMapD(((1, 0), (0, 1)), (0, 1))),))
+    got = post_star(up2, Configuration("a", (0, 0)), Budget(max_value=3))
+    assert got.truncated and len(got.configs) == 4
+    swap = Machine("s", 2, ("a",), (Transition("a", "a", AffineMapD(((0, 1), (1, 0)), (0, 0))),))
+    got = post_star(swap, Configuration("a", (3, 1)), Budget(max_value=3))
+    assert got.configs == {Configuration("a", (3, 1)), Configuration("a", (1, 3))}
+    assert not got.truncated
+
+
+def test_relational_forward_truncation():
+    # x' = x + 1 leaves a window of 5 as the scalar AffineMap1(1, 1) does
+    plus1 = Comparison(var("x'").minus(var("x")).minus(const(1)), "=")
+    m = Machine("r", 1, ("a",), (Transition("a", "a", RelationalUpdate(plus1)),))
+    got = post_star(m, Configuration("a", (0,)), Budget(max_value=5))
+    assert got.truncated and {c.counter for c in got.configs} == set(range(6))
+    assert find_path(m, Configuration("a", (0,)), Configuration("a", (7,)),
+                     Budget(max_value=5)) == (None, True)
+    same = Comparison(var("x'").minus(var("x")), "=")
+    m = Machine("r", 1, ("a",), (Transition("a", "a", RelationalUpdate(same)),))
+    assert not post_star(m, Configuration("a", (5,)), Budget(max_value=5)).truncated
 
 
 def test_post_star_depth_budget():
