@@ -130,16 +130,15 @@ def _cmd_prestar(args) -> int:
     return 0
 
 
-def _print_verdict(flag: bool, args, detail: dict | None = None,
-                   lines: tuple[str, ...] = ()) -> int:
+def _print_verdict(flag: bool, args, detail: dict | None = None) -> int:
+    """``verdict: yes|no`` and a ``key: value`` line per detail that is not None, or JSON."""
+    obj = {"verdict": render_bool(flag), **(detail or {})}
     if args.json:
-        obj = {"verdict": render_bool(flag)}
-        obj.update(detail or {})
         _emit_json(obj)
     else:
-        print(f"verdict: {render_bool(flag)}")
-        for line in lines:
-            print(line)
+        for key, value in obj.items():
+            if value is not None:
+                print(f"{key}: {value}")
     return 0
 
 
@@ -172,27 +171,22 @@ def _cmd_wsts(args) -> int:
     m = _load_machine(args.file)
     verdict = is_well_structured(m)
     detail: dict = {"witness": None, "counterexample": None}
-    lines: tuple[str, ...] = ()
     if not verdict.well_structured:
         t = verdict.witness
         detail = {
             "witness": serialize_transition(t),
             "counterexample": f"{t.source}:{verdict.counterexample}",
         }
-        lines = (f"witness: {serialize_transition(t)}",
-                 f"counterexample: {t.source}:{verdict.counterexample}")
-    return _print_verdict(verdict.well_structured, args, detail, lines)
+    return _print_verdict(verdict.well_structured, args, detail)
 
 
 def _cmd_strong_mono(args) -> int:
     m = _load_machine(args.file)
     verdict = is_strongly_monotone(m)
     detail: dict = {"witness": None}
-    lines: tuple[str, ...] = ()
     if not verdict.strongly_monotone:
         detail = {"witness": serialize_transition(verdict.witness)}
-        lines = (f"witness: {serialize_transition(verdict.witness)}",)
-    return _print_verdict(verdict.strongly_monotone, args, detail, lines)
+    return _print_verdict(verdict.strongly_monotone, args, detail)
 
 
 def _cmd_wqo(args) -> int:

@@ -22,6 +22,7 @@ from .machine import (
     Transition,
     UpwardTarget,
     effective_domain,
+    fresh_state,
     negative_transitions,
     relational_variables,
 )
@@ -66,15 +67,6 @@ def coverable(m: Machine, source: Configuration, target: Configuration,
     return result.set_for(source.state).member(source.counter)
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    candidate = base
-    k = 1
-    while candidate in taken:
-        k += 1
-        candidate = f"{base}_{k}"
-    return candidate
-
-
 def covering_reduction(m: Machine, target: Configuration) -> tuple[Machine, Configuration]:
     """Rewrite covering ``target`` as plain reachability in a widened machine.
 
@@ -88,9 +80,8 @@ def covering_reduction(m: Machine, target: Configuration) -> tuple[Machine, Conf
         raise FlavorError("the covering reduction is defined for one-counter affine machines")
     m.check_configuration(target)
     taken = set(m.states)
-    check = _fresh("q3", taken)
-    taken.add(check)
-    goal = _fresh("q4", taken)
+    check = fresh_state("q3", taken)
+    goal = fresh_state("q4", taken)
     widened = Machine(
         name=f"{m.name}-cover",
         dimension=1,

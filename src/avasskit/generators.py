@@ -22,6 +22,7 @@ from .machine import (
     MinskyOp,
     RelationalUpdate,
     Transition,
+    fresh_state,
     relational_variables,
 )
 from .presburger import Comparison, Congruence, Formula, Not, conj, const, var
@@ -179,21 +180,6 @@ def build_n1(m: Machine, halt: str) -> Machine:
 # two-counter Minsky -> four-counter Minsky
 
 
-def _namer(taken: tuple[str, ...]):
-    used = set(taken)
-
-    def fresh(base: str) -> str:
-        name = base
-        k = 1
-        while name in used:
-            k += 1
-            name = f"{base}_{k}"
-        used.add(name)
-        return name
-
-    return fresh
-
-
 def build_n2(m: Machine, halt: str) -> Machine:
     """Re-home a 2-counter machine on four counters so every step is monotone.
 
@@ -217,12 +203,12 @@ def build_n2(m: Machine, halt: str) -> Machine:
     net zero); the zero-circuit entry folds its no-op into the c4 drain.
     """
     _require_two_counter_minsky(m, halt)
-    fresh = _namer(m.states)
+    taken = set(m.states)
     states: list[str] = list(m.states)
     transitions: list[Transition] = []
 
     def add_state(base: str) -> str:
-        q = fresh(base)
+        q = fresh_state(base, taken)
         states.append(q)
         return q
 

@@ -223,6 +223,17 @@ class Machine:
                 f"configuration has {len(c.counters)} counters, machine has {self.dimension}")
 
 
+def fresh_state(base: str, taken: set[str]) -> str:
+    """The first of ``base``, ``base_2``, ``base_3``, … not in ``taken``; adds it there."""
+    name = base
+    k = 1
+    while name in taken:
+        k += 1
+        name = f"{base}_{k}"
+    taken.add(name)
+    return name
+
+
 @dataclass(frozen=True)
 class Classification:
     """Syntactic flavor flags; see :func:`classify` for the exact conventions."""

@@ -432,9 +432,7 @@ def _solve_clause(
     )
     if not congs:
         return _solve_rows(rows, clause_vars, node_budget)
-    period = 1
-    for _, _, m in congs:
-        period = period // math.gcd(period, m) * m
+    period = math.lcm(*(m for _, _, m in congs))
     cvars = sorted({v for coeffs, _, _ in congs for v in coeffs})
     if len(cvars) > 0 and period ** len(cvars) > RESIDUE_COMBO_CAP:
         raise BudgetExceededError(
@@ -664,9 +662,7 @@ def is_wqo(f: Formula, x: str = "x", y: str = "y") -> WqoVerdict:
             survivors.append(congs)
             moduli.update(c.modulus for c in congs)
 
-    period = 1
-    for m in moduli:
-        period = period // math.gcd(period, m) * m
+    period = math.lcm(*moduli)
 
     for n0 in range(period):
         env = {x: n0, y: n0}

@@ -20,6 +20,14 @@ sweeps two exact operations until nothing changes:
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print.
 
+Cycles enter the fixpoint as summaries, not as paths.  :func:`pre_cycle_star`
+reads only a cycle's composed update and entry guard, so the simple cycles
+through one root that agree on ``(meta, guard)`` are one operator on that
+root's set.  Each call only adds values, and the least family of sets closed
+under all of them does not depend on how often one is listed: one call per
+distinct ``(root, meta, guard)`` is exact.  ``cycle_cap`` bounds the path
+summaries that :func:`enumerate_simple_cycles` stores, over all roots.
+
 Acceleration through cycles is what makes the sweep reach a fixpoint at all:
 transition preimages alone would descend through an unbounded chain.  A sweep
 cap turns divergence (or an enumeration blow-up) into BudgetExceededError —
@@ -38,7 +46,6 @@ from .machine import (
     AffineMap1,
     Configuration,
     Machine,
-    Transition,
     UpwardTarget,
     domain_clause,
     effective_domain,
@@ -104,63 +111,66 @@ def pre_transition(p: AffineMap1, s: SemilinearSet) -> SemilinearSet:
 
 @dataclass(frozen=True)
 class SimpleCycle:
-    """A simple cycle rooted at one of its states.
+    """The simple cycles through ``root`` that share one full turn's update and guard.
 
     ``meta`` is the composed affine update of one full turn; ``guard`` is the
     single clause of entry values from which the whole turn can be taken (the
     intersection of every step's domain and user guard, pulled back through
-    the prefix maps).  A cycle through k states appears once per root, so a
-    rotation class of size k yields k entries with identical meta and guard.
+    the prefix maps).  A cycle through k states counts under each of its k
+    roots, with the same meta and guard.
     """
 
     root: str
-    transitions: tuple[Transition, ...]
     meta: AffineMap1
     guard: Clause
 
 
-def _build_cycle(root: str, steps: list[Transition]) -> SimpleCycle | None:
-    alpha, beta = 1, 0
-    guard = Clause(0, None)
-    for t in steps:
-        dc = domain_clause(t.payload)
-        guard = intersect_clauses(guard, _affine_preimage_clause(alpha, beta, dc))
-        if guard.is_empty:
-            return None
-        alpha, beta = t.payload.a * alpha, t.payload.a * beta + t.payload.b
-    return SimpleCycle(root, tuple(steps), AffineMap1(alpha, beta), guard)
-
-
 DEFAULT_CYCLE_CAP = 100_000
+
+_Summary = tuple[int, int, Clause]  # (a, b, guard) of a path, as in SimpleCycle
 
 
 def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
-    """Every simple cycle, once per root state it contains, nonempty guards only.
+    """One summary per distinct (root, meta, guard) of a simple cycle, nonempty guards only.
 
-    Deterministic order: roots in state declaration order, paths in transition
-    declaration order.  Raises BudgetExceededError past ``cap`` entries.
+    One memoized walk per root.  Deterministic order: roots in state
+    declaration order, then the order in which a depth-first walk over
+    transitions in declaration order first meets each summary.  Raises
+    BudgetExceededError past ``cap`` stored path summaries, over all roots.
     """
     if m.flavor != "affine1":
         raise FlavorError("cycle analysis is for 1-dim affine machines")
+    stored = 0
     out: list[SimpleCycle] = []
-    emitted = 0
-
     for root in m.states:
-        def dfs(state: str, visited: frozenset[str], path: list[Transition]) -> None:
-            nonlocal emitted
-            for t in m.transitions_from(state):
-                if t.target == root:
-                    emitted += 1
-                    if emitted > cap:
-                        raise BudgetExceededError(
-                            f"more than {cap} simple cycle entries")
-                    cyc = _build_cycle(root, path + [t])
-                    if cyc is not None:
-                        out.append(cyc)
-                elif t.target not in visited:
-                    dfs(t.target, visited | {t.target}, path + [t])
+        memo: dict[tuple[str, frozenset[str]], dict[_Summary, None]] = {}
 
-        dfs(root, frozenset([root]), [])
+        def suffixes(state: str, visited: frozenset[str]) -> dict[_Summary, None]:
+            """(a, b, guard) of every simple path from state back to root avoiding visited."""
+            nonlocal stored
+            key = (state, visited)
+            if key in memo:
+                return memo[key]
+            found = memo[key] = {}
+            for t in m.transitions_from(state):
+                p = t.payload
+                dom = domain_clause(p)
+                if dom.is_empty:
+                    continue
+                if t.target == root:
+                    found[(p.a, p.b, dom)] = None
+                elif t.target not in visited:
+                    for a, b, g in suffixes(t.target, visited | {t.target}):
+                        guard = intersect_clauses(dom, _affine_preimage_clause(p.a, p.b, g))
+                        if not guard.is_empty:
+                            found[(a * p.a, a * p.b + b, guard)] = None
+            stored += len(found)
+            if stored > cap:
+                raise BudgetExceededError(f"more than {cap} cycle path summaries")
+            return found
+
+        out += [SimpleCycle(root, AffineMap1(a, b), guard)
+                for a, b, guard in suffixes(root, frozenset([root]))]
     return out
 
 
@@ -268,9 +278,7 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
 def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
     """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard."""
     r, gm, gr = g.lo, g.modulus, g.residue
-    period = gm
-    for c in s.clauses:
-        period = period // math.gcd(period, c.modulus) * c.modulus
+    period = math.lcm(gm, *(c.modulus for c in s.clauses))
     if period > CLASS_MODULUS_CAP:
         raise BudgetExceededError(
             f"growth-cycle residue analysis modulus {period} over budget")

@@ -159,7 +159,7 @@ class SemilinearSet:
         for c in self.clauses:
             if c.hi is None:
                 t = max(t, c.lo)
-                l = l // math.gcd(l, c.modulus) * c.modulus
+                l = math.lcm(l, c.modulus)
             else:
                 t = max(t, c.hi + 1)
         fmask = 0
@@ -188,7 +188,7 @@ class SemilinearSet:
     def _frame_with(self, other: "SemilinearSet") -> tuple[int, int]:
         t0, l0, _, _ = self._canon
         t1, l1, _, _ = other._canon
-        return (max(t0, t1), l0 // math.gcd(l0, l1) * l1)
+        return (max(t0, t1), math.lcm(l0, l1))
 
     def member(self, n: int) -> bool:
         return any(c.member(n) for c in self.clauses)

@@ -17,9 +17,10 @@ is a cut, never followed.  Any of the three sets ``truncated``.
 * Backward, it means some configuration that reaches the target may have
   been missed: a predecessor (guard included) above the window, or a budget
   hit.  Matrix and relational machines have no backward step of their own;
-  they walk the reverse of the forward steps over the whole window, and
-  there a transition that can map a configuration above the window into
-  it sets ``truncated`` (decided by the solver; unsure counts as yes).
+  they walk the reverse of the in-window forward steps over the whole
+  window, and there a transition that can map a configuration above the
+  window into it sets ``truncated`` (decided by the solver, at most once
+  per transition; unsure counts as yes).
 
 Relational machines of dimension 1 have no successor function: the forward
 step scans the candidate values ``0..max_value`` for each transition, then
@@ -117,19 +118,31 @@ def _search(starts: Iterable[Configuration], steps: Callable[[Configuration], It
     return parents, None, truncated
 
 
+def _window_successors(m: Machine, t: Transition, c: Configuration,
+                       max_value: int) -> Iterator[Configuration]:
+    """Successors of c along t with every counter <= max_value."""
+    if m.flavor != "relational":
+        got = apply_payload(t.payload, c.counters)
+        if got is not None and max(got) <= max_value:
+            yield Configuration(t.target, got)
+        return
+    if m.dimension != 1:
+        raise FlavorError("relational exploration is implemented for dimension 1 only")
+    (xv,), (xp,) = relational_variables(1)
+    for v in range(max_value + 1):
+        if evaluate(t.payload.formula, {xv: c.counter, xp: v}):
+            yield Configuration(t.target, (v,))
+
+
 def _forward_steps(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
     """Yield (transition, successor, cut) triples; cut marks successors above max_value."""
     if m.flavor == "relational":
-        if m.dimension != 1:
-            raise FlavorError(
-                "relational exploration is implemented for dimension 1 only")
         (xv,), (xp,) = relational_variables(1)
         for t in m.transitions_from(c.state):
-            f = t.payload.formula
-            for v in range(budget.max_value + 1):
-                if evaluate(f, {xv: c.counter, xp: v}):
-                    yield t, Configuration(t.target, (v,)), False
-            above = exists_solution(conj(f, Comparison(var(xv).shifted(-c.counter), "="),
+            for nxt in _window_successors(m, t, c, budget.max_value):
+                yield t, nxt, False
+            above = exists_solution(conj(t.payload.formula,
+                                         Comparison(var(xv).shifted(-c.counter), "="),
                                          Comparison(var(xp).shifted(-budget.max_value - 1), ">=")))
             if above is not None:
                 yield t, Configuration(t.target, (above[xp],)), True
@@ -218,8 +231,8 @@ def _window_predecessors(m: Machine,
     for q in m.states:
         for vs in itertools.product(range(budget.max_value + 1), repeat=d):
             c = Configuration(q, vs)
-            for t, nxt, cut in _forward_steps(m, c, budget):
-                if not cut:
+            for t in m.transitions_from(q):
+                for nxt in _window_successors(m, t, c, budget.max_value):
                     reverse.setdefault(nxt, []).append((t, c, False))
     return reverse, any(_enters_window(m, t, budget.max_value) for t in m.transitions)
 

@@ -15,9 +15,12 @@ from avasskit.machine import (
     Machine,
     Transition,
     UpwardTarget,
+    apply_payload,
+    domain_clause,
 )
 from avasskit.prestar import (
     SimpleCycle,
+    _affine_preimage_clause,
     compute_pre_star,
     compute_pre_star_upward,
     enumerate_simple_cycles,
@@ -29,6 +32,7 @@ from avasskit.semiset import (
     Clause,
     SemilinearSet,
     from_values,
+    intersect_clauses,
     interval,
     semilinear,
     singleton,
@@ -93,7 +97,7 @@ def cycle_pre_oracle(a: int, b: int, guard: Clause, s: SemilinearSet, bound: int
 
 def cycle(a: int, b: int, guard: Clause) -> SimpleCycle:
     """Ad-hoc cycle record for exercising the acceleration directly."""
-    return SimpleCycle("q", (), AffineMap1(a, b), guard)
+    return SimpleCycle("q", AffineMap1(a, b), guard)
 
 
 def members_below(s: SemilinearSet, bound: int) -> set[int]:
@@ -160,11 +164,11 @@ def test_pre_transition_random_against_oracle():
 
 def test_m1_has_four_cycle_entries_in_declaration_order():
     cycles = enumerate_simple_cycles(m1())
-    assert [(c.root, c.meta.a, c.meta.b, len(c.transitions)) for c in cycles] == [
-        ("q1", 1, -13, 2),
-        ("q1", -1, 19, 1),
-        ("q2", 1, -3, 1),
-        ("q2", 1, -13, 2),
+    assert [(c.root, c.meta.a, c.meta.b) for c in cycles] == [
+        ("q1", 1, -13),
+        ("q1", -1, 19),
+        ("q2", 1, -3),
+        ("q2", 1, -13),
     ]
     by_root = {(c.root, c.meta.b): c for c in cycles}
     # the two rotations of the q1<->q2 loop share meta and entry guard
@@ -199,6 +203,75 @@ def test_cycle_enumeration_budget():
                   for p in states for q in states if p != q)
     with pytest.raises(BudgetExceededError):
         enumerate_simple_cycles(Machine("k6", 1, states, trans), cap=5)
+
+
+def k_n(n: int) -> Machine:
+    """The complete digraph on n states, every edge x' = x + b, b drawn by Random(7)."""
+    rng = random.Random(7)
+    states = tuple(f"q{i}" for i in range(n))
+    return Machine(f"k{n}", 1, states, tuple(
+        Transition(u, v, AffineMap1(1, rng.choice([-3, -2, -1, 1, 2])))
+        for u in states for v in states if u != v))
+
+
+def guarded_machine(rng: random.Random) -> Machine:
+    states = tuple(f"q{i}" for i in range(rng.randint(2, 4)))
+    trans = []
+    for _ in range(rng.randint(3, 9)):
+        guard = None
+        if rng.random() < 0.4:
+            gm = rng.choice([1, 2, 3])
+            guard = Clause(rng.randint(0, 6), rng.choice([None, rng.randint(6, 30)]),
+                           gm, rng.randrange(gm))
+        trans.append(Transition(rng.choice(states), rng.choice(states),
+                                AffineMap1(rng.randint(-2, 2), rng.randint(-6, 6), guard)))
+    return Machine("rnd", 1, states, tuple(trans))
+
+
+def path_summaries(m: Machine) -> list[tuple[str, AffineMap1, Clause]]:
+    """Every simple cycle per root by a plain path DFS, folded front to back
+    into (root, meta, guard); empty guards dropped, repeats kept."""
+    out = []
+
+    def walk(root: str, state: str, visited: set[str], path: list[Transition]) -> None:
+        for t in m.transitions_from(state):
+            if t.target == root:
+                out.append((root, path + [t]))
+            elif t.target not in visited:
+                walk(root, t.target, visited | {t.target}, path + [t])
+
+    for root in m.states:
+        walk(root, root, {root}, [])
+    summaries = []
+    for root, path in out:
+        a, b, guard = 1, 0, Clause(0, None)
+        for t in path:
+            step = _affine_preimage_clause(a, b, domain_clause(t.payload))
+            guard = intersect_clauses(guard, step)
+            a, b = t.payload.a * a, t.payload.a * b + t.payload.b
+        for n in range(40):
+            v: tuple[int, ...] | None = (n,)
+            for t in path:
+                v = apply_payload(t.payload, v) if v is not None else None
+            assert guard.member(n) == (v is not None), (root, path, n)
+        if not guard.is_empty:
+            summaries.append((root, AffineMap1(a, b), guard))
+    return summaries
+
+
+def test_cycle_summaries_match_path_enumeration():
+    rng = random.Random(4107)
+    machines = [k_n(5), k_n(6)] + [guarded_machine(rng) for _ in range(60)]
+    for m in machines:
+        expected = list(dict.fromkeys(path_summaries(m)))
+        got = [(c.root, c.meta, c.guard) for c in enumerate_simple_cycles(m)]
+        assert got == expected, m
+    assert len(enumerate_simple_cycles(k_n(5))) == 154
+    # K8 has 109,592 simple cycle entries but only 1,368 summaries; its walk
+    # stores 71,393 path summaries, which is what the cap counts
+    assert len(enumerate_simple_cycles(k_n(8))) == 1368
+    with pytest.raises(BudgetExceededError):
+        enumerate_simple_cycles(k_n(8), cap=71_392)
 
 
 def test_cycle_enumeration_needs_single_counter_affine():

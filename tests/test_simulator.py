@@ -20,6 +20,7 @@ from avasskit.machine import (
 )
 from avasskit.presburger import Comparison, const, var
 from avasskit.semiset import Clause
+from avasskit import simulator
 from avasskit.simulator import Budget, find_path, post_star, pre_star_bounded
 
 
@@ -216,6 +217,28 @@ def test_pre_star_bounded_window_truncated_by_transitions_into_it():
     ident = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
     five = Machine("i", 5, ("a",), (Transition("a", "a", AffineMapD(ident, (0,) * 5)),))
     assert pre_star_bounded(five, Configuration("a", (0,) * 5), Budget(max_value=1)).truncated
+
+
+def test_relational_window_predecessors_skip_the_forward_cut_check(monkeypatch):
+    # the window scan needs no solver: truncation comes from _enters_window,
+    # which asks at most once per transition
+    minus1 = Comparison(var("x'").minus(var("x")).plus(const(1)), "=")
+    double = Comparison(var("x'").minus(var("x").times(2)), "=")
+    m = Machine("r", 1, ("a", "b"), (
+        Transition("a", "a", RelationalUpdate(minus1)),
+        Transition("a", "b", RelationalUpdate(minus1)),
+        Transition("b", "a", RelationalUpdate(double)),
+    ))
+    calls = []
+    real = simulator.exists_solution
+    monkeypatch.setattr(simulator, "exists_solution",
+                        lambda *args: calls.append(args) or real(*args))
+    got = pre_star_bounded(m, Configuration("a", (0,)), Budget(max_value=200))
+    assert len(calls) <= len(m.transitions)
+    # a:n reaches a:0 by decrements for every n; b:n doubles into a:2n
+    assert got.configs == ({Configuration("a", (n,)) for n in range(201)}
+                           | {Configuration("b", (n,)) for n in range(101)})
+    assert got.truncated
 
 
 def test_pre_star_via_forward_window_budget():
