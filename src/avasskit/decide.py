@@ -26,7 +26,7 @@ from .machine import (
     negative_transitions,
     relational_variables,
 )
-from .presburger import Comparison, conj, const, exists_solution, var
+from .presburger import Comparison, LinearTerm, conj, exists_solution
 from .prestar import compute_pre_star, compute_pre_star_upward
 
 __all__ = [
@@ -198,18 +198,9 @@ class StrongMonotonyVerdict:
 
 def _affine_domain_nonempty(matrix, offset) -> bool:
     """Does ``A x + b >= 0`` have a solution over the naturals?"""
-    dim = len(offset)
-    if dim == 1:
-        # a >= 1 grows without bound; otherwise x = 0 is the best candidate.
-        return matrix[0][0] >= 1 or offset[0] >= 0
-    names, _ = relational_variables(dim)
-    rows = []
-    for i in range(dim):
-        term = const(offset[i])
-        for j in range(dim):
-            if matrix[i][j]:
-                term = term.plus(var(names[j], matrix[i][j]))
-        rows.append(Comparison(term, ">="))
+    xs, _ = relational_variables(len(offset))
+    rows = [Comparison(LinearTerm.build(dict(zip(xs, row)), b), ">=")
+            for row, b in zip(matrix, offset)]
     return exists_solution(conj(*rows)) is not None
 
 

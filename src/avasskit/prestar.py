@@ -133,16 +133,25 @@ _Summary = tuple[int, int, Clause]  # (a, b, guard) of a path, as in SimpleCycle
 def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
     """One summary per distinct (root, meta, guard) of a simple cycle, nonempty guards only.
 
-    One memoized walk per root.  Deterministic order: roots in state
-    declaration order, then the order in which a depth-first walk over
-    transitions in declaration order first meets each summary.  Raises
-    BudgetExceededError past ``cap`` stored path summaries, over all roots.
+    One memoized walk per root, through the states that can reach the root
+    again.  Deterministic order: roots in state declaration order, then the
+    order in which a depth-first walk over transitions in declaration order
+    first meets each summary.  Raises BudgetExceededError past ``cap`` stored
+    path summaries, over all roots, or when a path outgrows the recursion
+    limit.
     """
     if m.flavor != "affine1":
         raise FlavorError("cycle analysis is for 1-dim affine machines")
     stored = 0
     out: list[SimpleCycle] = []
     for root in m.states:
+        returns = {root}
+        todo = [root]
+        while todo:
+            for t in m.transitions_to(todo.pop()):
+                if t.source not in returns:
+                    returns.add(t.source)
+                    todo.append(t.source)
         memo: dict[tuple[str, frozenset[str]], dict[_Summary, None]] = {}
 
         def suffixes(state: str, visited: frozenset[str]) -> dict[_Summary, None]:
@@ -159,7 +168,7 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
                     continue
                 if t.target == root:
                     found[(p.a, p.b, dom)] = None
-                elif t.target not in visited:
+                elif t.target in returns and t.target not in visited:
                     for a, b, g in suffixes(t.target, visited | {t.target}):
                         guard = intersect_clauses(dom, _affine_preimage_clause(p.a, p.b, g))
                         if not guard.is_empty:
@@ -169,8 +178,12 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
                 raise BudgetExceededError(f"more than {cap} cycle path summaries")
             return found
 
-        out += [SimpleCycle(root, AffineMap1(a, b), guard)
-                for a, b, guard in suffixes(root, frozenset([root]))]
+        try:
+            found = suffixes(root, frozenset([root]))
+        except RecursionError:
+            raise BudgetExceededError(
+                f"a cycle through {root} is too long to walk") from None
+        out += [SimpleCycle(root, AffineMap1(a, b), guard) for a, b, guard in found]
     return out
 
 
@@ -242,17 +255,12 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
     r, gm, gr = g.lo, g.modulus, g.residue
     if beta > GUARD_ENUM_CAP:
         raise BudgetExceededError(f"translation step {beta} over budget")
-    out: list[Clause] = []
     if beta % gm != 0:
         # the guard congruence breaks after one application, so i = 1 only:
         # n in guard and n + b in s
-        for x in s.clauses:
-            shifted = Clause(
-                max(x.lo - b, 0),
-                x.hi - b if x.hi is not None else None,
-                x.modulus, (x.residue - b) % x.modulus)
-            out.append(intersect_clauses(shifted, g))
-        return semilinear(out)
+        return semilinear(intersect_clauses(_affine_preimage_clause(1, b, x), g)
+                          for x in s.clauses)
+    out: list[Clause] = []
     for x in s.clauses:
         for c_res in range(gr, beta, gm):
             if b < 0:

@@ -7,12 +7,14 @@ variable by quantifier-free linear arithmetic with divisibility, and they are
 closed under every operation this module exposes: union, intersection,
 complement, inclusion, equality, upward closure.
 
-Equality and inclusion compare the masks of a canonical frame: a threshold
-``T``, a period ``L``, a bitmask of the members below ``T`` and a bitmask of the
-residues mod ``L`` that are members from ``T`` on.  Masks are plain Python ints,
-so comparison runs at word speed even when ``L`` is in the millions (which
-happens when many cycle moduli pile up).  Clauses are rebuilt from the masks
-one way only, into the minimal form of :func:`_minimal`, which equal sets share.
+Every set has one canonical form, the masks of ``SemilinearSet._canon``: the
+least period ``L`` with which the set eventually repeats, the least threshold
+``T`` from which it does, a bitmask of the members below ``T`` and a bitmask of
+the residues mod ``L`` that are members from ``T`` on.  The masks depend on the
+members alone, so equality, inclusion and fullness compare masks.  Masks are
+plain Python ints, so comparison runs at word speed even when ``L`` is in the
+millions (which happens when many cycle moduli pile up).  Clauses are rebuilt
+from the masks one way only, into the minimal form of :func:`_minimal`.
 """
 
 from __future__ import annotations
@@ -148,12 +150,14 @@ class SemilinearSet:
 
     @cached_property
     def _canon(self) -> tuple[int, int, int, int]:
-        """Canonical form (T, L, finite_mask, residue_mask).
+        """The canonical masks (T, L, finite_mask, residue_mask).
 
-        finite_mask has bit n set iff n < T is a member; residue_mask has bit r
-        set iff every n >= T with n ≡ r (mod L) is a member — equivalent, for
-        this set, to *some* such n being a member.
+        L is the least eventual period of the set and T the least threshold
+        from which it repeats with period L.  finite_mask has bit n set iff
+        n < T is a member; residue_mask has bit r set iff the n >= T with
+        n ≡ r (mod L) are members.  Equal sets have equal masks.
         """
+        # a frame read off the clauses: from t on, the set repeats with period l
         t = 0
         l = 1
         for c in self.clauses:
@@ -172,23 +176,14 @@ class SemilinearSet:
                 # membership above T only depends on n mod c.modulus, and
                 # c.lo <= T, the residue class is fully included from T on.
                 rmask |= _prog_bits(c.residue % c.modulus, l, c.modulus)
-        return (t, l, fmask, rmask)
-
-    def _lifted(self, t: int, l: int) -> tuple[int, int]:
-        """Masks of this set relative to a coarser frame (t >= T, L | l)."""
-        t0, l0, fmask, rmask = self._canon
-        f = fmask
-        if t > t0:
-            # periodic word anchored at 0 (bit p = rmask[p mod l0]), window [t0, t)
-            full = _replicate(rmask, l0, (t + l0 - 1) // l0)
-            f |= full & _ones(t) & ~_ones(t0)
-        r = _replicate(rmask, l0, l // l0)
-        return (f & _ones(t), r)
-
-    def _frame_with(self, other: "SemilinearSet") -> tuple[int, int]:
-        t0, l0, _, _ = self._canon
-        t1, l1, _, _ = other._canon
-        return (max(t0, t1), math.lcm(l0, l1))
+        # the least period is the least rotation that maps the l-bit word of
+        # rmask onto itself (it divides l); the least threshold lies just past
+        # the last value below t that breaks the pattern
+        word = format(rmask, f"0{l}b")
+        d = (word + word).find(word, 1)
+        rmask &= _ones(d)
+        t = (fmask ^ (_replicate(rmask, d, _cdiv(t, d)) & _ones(t))).bit_length()
+        return (t, d, fmask & _ones(t), rmask)
 
     def member(self, n: int) -> bool:
         return any(c.member(n) for c in self.clauses)
@@ -208,14 +203,10 @@ class SemilinearSet:
         return _minimal(t, l, ~fmask & _ones(t), ~rmask & _ones(l))
 
     def equal(self, other: "SemilinearSet") -> bool:
-        t, l = self._frame_with(other)
-        return self._lifted(t, l) == other._lifted(t, l)
+        return self._canon == other._canon
 
     def subset(self, other: "SemilinearSet") -> bool:
-        t, l = self._frame_with(other)
-        f0, r0 = self._lifted(t, l)
-        f1, r1 = other._lifted(t, l)
-        return f0 | f1 == f1 and r0 | r1 == r1
+        return self.union(other)._canon == other._canon
 
     @property
     def is_empty(self) -> bool:
@@ -223,8 +214,7 @@ class SemilinearSet:
 
     def is_full(self) -> bool:
         """True iff the set is all of the naturals."""
-        t, l, fmask, rmask = self._canon
-        return fmask == _ones(t) and rmask == _ones(l)
+        return self._canon == (0, 1, 0, 1)
 
     def min_element(self) -> int | None:
         """Least member, or None for the empty set (clause lows are members)."""
@@ -276,26 +266,23 @@ def semilinear(clauses: Iterable[Clause]) -> SemilinearSet:
 
 
 def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
-    """The minimal clause form of the set with masks (T, L, fmask, rmask).
+    """The minimal clause form of the set with canonical masks (T, L, fmask, rmask).
 
-    One unbounded clause per recurrent residue class of the minimal eventual
-    period, pulled down as far as the finite part allows, and the leftover
-    finite values grouped into maximal progressions.  It depends on the
-    members alone, so equal sets get the same clauses.
+    One unbounded clause per recurrent residue class mod the least period L,
+    pulled down as far as the finite part allows, and the leftover finite
+    values grouped into maximal progressions.  Equal sets have the same
+    canonical masks, so they get the same clauses.
     """
-    width = _ones(l)
-    d = next(k for k in range(1, l + 1) if l % k == 0 and
-             ((rmask >> k) | (rmask << (l - k))) & width == rmask)
     absorbed = 0
     tails = []
-    for c in range(d):
+    for c in range(l):
         if not rmask >> c & 1:
             continue
-        s = t + ((c - t) % d)
-        while s - d >= 0 and fmask >> (s - d) & 1:
-            s -= d
+        s = t + ((c - t) % l)
+        while s - l >= 0 and fmask >> (s - l) & 1:
+            s -= l
             absorbed |= 1 << s
-        tails.append(Clause(s, None, d, c))
+        tails.append(Clause(s, None, l, c))
     leftover = [n for n in range(t) if (fmask & ~absorbed) >> n & 1]
     runs = []
     i = 0

@@ -123,6 +123,17 @@ def test_prestar_unknown_state_exits_3(capsys, m1_file):
     assert code == 3 and "error:" in err
 
 
+def test_prestar_on_a_cycle_too_long_to_walk_exits_4(capsys, tmp_path):
+    states = [f"s{i}" for i in range(1100)]
+    path = tmp_path / "ring.cm"
+    path.write_text("machine ring\ndim 1\n" +
+                    "".join(f"state {q}\n" for q in states) +
+                    "".join(f"trans {p} -> {q} : x' = 1x + 1\n"
+                            for p, q in zip(states, states[1:] + states[:1])))
+    code, _, err = run(capsys, "prestar", str(path), "--state", "s0", "--value", "0")
+    assert code == 4 and "error:" in err
+
+
 def test_reach_verdicts(capsys, m1_file):
     code, out, _ = run(capsys, "reach", m1_file, "--from", "q1:0", "--to", "q1:19")
     assert code == 0 and out.splitlines()[0] == "verdict: yes"

@@ -1,10 +1,12 @@
 """Source hygiene: every name a package module imports is used there or
-exported, and every name the benchmark's tracer wraps exists."""
+exported, every private def is used, and every name the benchmark's tracer
+wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import avasskit
@@ -52,3 +54,29 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tr.uninstall()
     assert wrapped
     assert all(owner.__dict__[attr] is original for owner, attr, original in wrapped)
+
+
+def _referenced(node: ast.AST) -> str | None:
+    """The name a Name or Attribute node refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_private_def_is_used():
+    # a private function, method or class that nothing else in the package
+    # references is dead code; references from its own body do not count
+    uses: Counter[str | None] = Counter()
+    own: Counter[str] = Counter()
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            uses[_referenced(node)] += 1
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defs[node.name] = f"{path.name}:{node.lineno}"
+                own[node.name] += sum(_referenced(sub) == node.name for sub in ast.walk(node))
+    assert len(defs) > 1
+    assert sorted(where for name, where in defs.items() if uses[name] <= own[name]) == []

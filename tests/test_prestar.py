@@ -205,6 +205,20 @@ def test_cycle_enumeration_budget():
         enumerate_simple_cycles(Machine("k6", 1, states, trans), cap=5)
 
 
+def test_cycle_walk_skips_states_that_cannot_return():
+    # a 2-cycle with a 1,100-state chain hanging off it that never comes back:
+    # a walk into the chain would recurse deeper than the interpreter allows
+    chain = tuple(f"c{i}" for i in range(1100))
+    trans = [Transition("a", "b", AffineMap1(1, 1)), Transition("b", "a", AffineMap1(1, -1)),
+             Transition("a", chain[0], AffineMap1(1, 1))]
+    trans += [Transition(p, q, AffineMap1(1, 1)) for p, q in zip(chain, chain[1:])]
+    cycles = enumerate_simple_cycles(Machine("tail", 1, ("a", "b") + chain, tuple(trans)))
+    assert [(c.root, c.meta, c.guard) for c in cycles] == [
+        ("a", AffineMap1(1, 0), Clause(0, None)),
+        ("b", AffineMap1(1, 0), Clause(1, None)),
+    ]
+
+
 def k_n(n: int) -> Machine:
     """The complete digraph on n states, every edge x' = x + b, b drawn by Random(7)."""
     rng = random.Random(7)

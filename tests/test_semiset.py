@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from avasskit.semiset import (
@@ -42,6 +43,19 @@ def check_against_oracle(s: SemilinearSet, specs, bound):
     want = naive_members(specs, bound)
     got = {n for n in range(bound + 1) if s.member(n)}
     assert got == want
+
+
+def clause_frame(*sets: SemilinearSet) -> tuple[int, int]:
+    """A threshold and a period read off the clauses, from which all the sets
+    repeat: past every finite hi and unbounded lo, the lcm of unbounded moduli."""
+    t, l = 0, 1
+    for s in sets:
+        for c in s.clauses:
+            if c.hi is None:
+                t, l = max(t, c.lo), math.lcm(l, c.modulus)
+            else:
+                t = max(t, c.hi + 1)
+    return t, l
 
 
 # --- clause normalization ----------------------------------------------------
@@ -137,11 +151,47 @@ def test_canonicalization_preserves_membership():
     rng = random.Random(11)
     for _ in range(100):
         s = random_set(rng)
-        t, l, _, _ = s._canon
+        t, l = clause_frame(s)
         n = s.normalized()
         for v in range(t + 2 * l + 2):
             assert s.member(v) == n.member(v), (s.render(), n.render(), v)
         assert s.equal(n)
+
+
+def split_unbounded(s: SemilinearSet, rng: random.Random) -> SemilinearSet:
+    """The same set with each unbounded clause cut in two at a random point."""
+    out = []
+    for c in s.clauses:
+        if c.hi is None:
+            cut = c.lo + rng.randrange(0, 30)
+            out += [Clause(c.lo, cut, c.modulus, c.residue),
+                    Clause(cut + 1, None, c.modulus, c.residue)]
+        else:
+            out.append(c)
+    return semilinear(out)
+
+
+def test_canon_is_canonical():
+    rng = random.Random(8128)
+    for _ in range(300):
+        s = random_set(rng)
+        other = random_set(rng)
+        canon = s._canon
+        for same in (s.normalized(), s.union(s.intersect(other)),
+                     s.complement().complement(), split_unbounded(s, rng)):
+            assert same._canon == canon, (s.render(), same.render())
+        low, period, fmask, rmask = canon
+        # no proper divisor of the period repeats the residue pattern
+        for k in range(1, period):
+            if period % k == 0:
+                assert any(rmask >> r & 1 != rmask >> (r % k) & 1 for r in range(period))
+        # the value just below the threshold breaks the pattern
+        if low > 0:
+            assert s.member(low - 1) != bool(rmask >> ((low - 1) % period) & 1)
+        # and the masks spell out the members
+        for n in range(low + 2 * period):
+            bit = fmask >> n if n < low else rmask >> (n % period)
+            assert s.member(n) == bool(bit & 1), (s.render(), n)
 
 
 def test_structural_vs_semantic_equality():
@@ -186,7 +236,7 @@ def test_equal_subset_agree_with_exhaustive_scan():
     for _ in range(120):
         a = random_set(rng)
         b = random_set(rng)
-        t, l = a._frame_with(b)
+        t, l = clause_frame(a, b)
         bound = t + 2 * l + 2
         av = [a.member(n) for n in range(bound)]
         bv = [b.member(n) for n in range(bound)]
