@@ -348,9 +348,15 @@ def _solve_rows(
     vars_: list[str],
     node_budget: list[int],
 ) -> dict[str, int] | None:
-    """Least-ish solution of ``sum c_v * v + k >= 0`` rows over naturals, or None."""
+    """Least-ish solution of ``sum c_v * v + k >= 0`` rows over naturals, or None.
+
+    A row with no variables and a negative constant makes the system
+    unsatisfiable whatever the other rows say, so that is checked first.
+    """
+    if any(k < 0 for coeffs, k in rows if not coeffs):
+        return None
     if not vars_:
-        return {} if all(k >= 0 for _, k in rows) else None
+        return {}
     if not rows:
         return {v: 0 for v in vars_}
     bound = _small_model_bound(rows, vars_)

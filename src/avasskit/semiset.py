@@ -46,6 +46,17 @@ def _prog_bits(start: int, upper: int, step: int) -> int:
     return ((1 << (count * step)) - 1) // ((1 << step) - 1) << start
 
 
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a natural, ascending, in time linear in its length."""
+    word = format(mask, "b")[::-1]
+    out = []
+    n = word.find("1")
+    while n >= 0:
+        out.append(n)
+        n = word.find("1", n + 1)
+    return out
+
+
 def _replicate(mask: int, unit: int, copies: int) -> int:
     """Concatenate `copies` copies of a `unit`-bit mask."""
     if copies <= 0:
@@ -275,15 +286,13 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
     """
     absorbed = 0
     tails = []
-    for c in range(l):
-        if not rmask >> c & 1:
-            continue
+    for c in _set_bits(rmask):
         s = t + ((c - t) % l)
         while s - l >= 0 and fmask >> (s - l) & 1:
             s -= l
             absorbed |= 1 << s
         tails.append(Clause(s, None, l, c))
-    leftover = [n for n in range(t) if (fmask & ~absorbed) >> n & 1]
+    leftover = _set_bits(fmask & ~absorbed)
     runs = []
     i = 0
     while i < len(leftover):

@@ -6,34 +6,43 @@ exact, and ``truncated`` says whether the region's edge was hit.  The symbolic
 modules are tested by agreement with these explorations on their safe regions.
 
 :func:`post_star`, :func:`find_path` and :func:`pre_star_bounded` are one
-breadth-first search, :func:`_search`, run over a step function: forward steps
-for the first two, backward steps for the third.  The search owns the budget:
-``max_depth`` caps the number of steps from a start, ``max_configs`` the
-number of visited configurations, and a step to a counter above ``max_value``
-is a cut, never followed.  Any of the three sets ``truncated``.
+breadth-first search, :func:`_search`, over a table built once per call:
+``table[state]`` holds ``(next_state, kernel)`` pairs, and ``kernel(counters)``
+gives the counter tuples that way out of the state leads to: none, one or
+many.  Forward tables have one entry per transition, in the order of
+``transitions_from``; backward tables are described below.
+
+The search owns the budget and the one cut rule: ``max_depth`` caps the number
+of steps from a start, ``max_configs`` the number of visited configurations,
+and a kernel result with a counter above ``max_value`` is a cut, never
+followed.  Any of the three sets ``truncated``.  Kernels give every result
+they find, above the window too, so that rule is the same for every step kind.
 
 * Forward, ``truncated`` means some configuration reachable from the start
   may have been missed: a successor above the window, or a budget hit.
 * Backward, it means some configuration that reaches the target may have
   been missed: a predecessor (guard included) above the window, or a budget
-  hit.  Matrix and relational machines have no backward step of their own;
-  they walk the reverse of the in-window forward steps over the whole
-  window, and there a transition that can map a configuration above the
-  window into it sets ``truncated`` (decided by the solver, at most once
-  per transition; unsure counts as yes).
+  hit.  Scalar affine and counter-op machines have one backward kernel per
+  transition into a state; a scalar ``x' = b`` has every value of its domain
+  as a predecessor of ``b``, and gives those in the window plus the least one
+  above it.  Matrix and relational machines have no backward step of their
+  own; they walk the reverse of the in-window forward steps over the whole
+  window, one entry per source state, and there a transition that can map a
+  configuration above the window into it sets ``truncated`` (decided by the
+  solver, at most once per transition; unsure counts as yes).
 
 Relational machines of dimension 1 have no successor function: the forward
-step scans the candidate values ``0..max_value`` for each transition, then
-asks the solver whether the relation also allows a successor above
-``max_value``, and yields one cut step if it does.  So ``truncated`` means
-the same for them as for the functional flavors.
+kernel scans the candidate values ``0..max_value``, then asks the solver
+whether the relation also allows a successor above ``max_value``, and adds
+that one witness if it does.  So ``truncated`` means the same for them as for
+the functional flavors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import ArityError, BudgetExceededError, FlavorError
 from .machine import (
@@ -50,8 +59,6 @@ from .machine import (
 )
 from .presburger import TRUE, Comparison, LinearTerm, conj, disj, evaluate, exists_solution, var
 from .semiset import Clause, intersect_clauses
-
-Step = tuple[Transition, Configuration, bool]
 
 
 @dataclass(frozen=True)
@@ -78,79 +85,109 @@ def _within(counters: tuple[int, ...], max_value: int) -> bool:
     return max(counters) <= max_value
 
 
-def _search(starts: Iterable[Configuration], steps: Callable[[Configuration], Iterable[Step]],
-            budget: Budget, goal: Callable[[Configuration], bool] | None = None
+def _search(starts: Iterable[Configuration], table: dict, budget: Budget,
+            goal: Callable[[Configuration], bool] | None = None
             ) -> tuple[dict[Configuration, Configuration | None], Configuration | None, bool]:
-    """Breadth-first search from ``starts`` along ``steps`` within ``budget``.
+    """Breadth-first search from ``starts`` over ``table`` within ``budget``.
 
-    ``steps(c)`` yields ``(transition, configuration, cut)`` triples; cut
-    steps leave the window and only set ``truncated``.  Returns
-    ``(parents, found, truncated)``: parents maps every visited configuration
-    to the one it was first reached from (None for a start), and found is
-    the first visited configuration that satisfies ``goal``, where the
-    search stops, or None.
+    Returns ``(parents, found, truncated)``: parents maps every visited
+    configuration to the one it was first reached from (None for a start),
+    and found is the first visited configuration that satisfies ``goal``,
+    where the search stops, or None.
     """
     parents: dict[Configuration, Configuration | None] = dict.fromkeys(starts)
     if goal is not None:
         for c in parents:
             if goal(c):
                 return parents, c, False
+    max_value, max_configs, max_depth = budget.max_value, budget.max_configs, budget.max_depth
     truncated = False
     frontier = list(parents)
     depth = 0
     while frontier:
-        if budget.max_depth is not None and depth >= budget.max_depth:
+        if max_depth is not None and depth >= max_depth:
             return parents, None, True
         depth += 1
         reached = []
         for c in frontier:
-            for _, nxt, cut in steps(c):
-                if cut:
-                    truncated = True
-                elif nxt not in parents:
-                    if len(parents) >= budget.max_configs:
-                        return parents, None, True
-                    parents[nxt] = c
-                    if goal is not None and goal(nxt):
-                        return parents, nxt, truncated
-                    reached.append(nxt)
+            counters = c.counters
+            for state, kernel in table[c.state]:
+                for got in kernel(counters):
+                    if max(got) > max_value:
+                        truncated = True
+                        continue
+                    nxt = Configuration(state, got)
+                    if nxt not in parents:
+                        if len(parents) >= max_configs:
+                            return parents, None, True
+                        parents[nxt] = c
+                        if goal is not None and goal(nxt):
+                            return parents, nxt, truncated
+                        reached.append(nxt)
         frontier = reached
     return parents, None, truncated
 
 
-def _window_successors(m: Machine, t: Transition, c: Configuration,
-                       max_value: int) -> Iterator[Configuration]:
-    """Successors of c along t with every counter <= max_value."""
-    if m.flavor != "relational":
-        got = apply_payload(t.payload, c.counters)
-        if got is not None and max(got) <= max_value:
-            yield Configuration(t.target, got)
-        return
+def _relational_window(m: Machine, t: Transition, max_value: int) -> Callable:
+    """Kernel of the successors along a relational t with every counter <= max_value."""
     if m.dimension != 1:
         raise FlavorError("relational exploration is implemented for dimension 1 only")
     (xv,), (xp,) = relational_variables(1)
-    for v in range(max_value + 1):
-        if evaluate(t.payload.formula, {xv: c.counter, xp: v}):
-            yield Configuration(t.target, (v,))
+    formula = t.payload.formula
+
+    def window(counters):
+        n = counters[0]
+        return tuple((v,) for v in range(max_value + 1) if evaluate(formula, {xv: n, xp: v}))
+    return window
 
 
-def _forward_steps(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
-    """Yield (transition, successor, cut) triples; cut marks successors above max_value."""
-    if m.flavor == "relational":
-        (xv,), (xp,) = relational_variables(1)
-        for t in m.transitions_from(c.state):
-            for nxt in _window_successors(m, t, c, budget.max_value):
-                yield t, nxt, False
-            above = exists_solution(conj(t.payload.formula,
-                                         Comparison(var(xv).shifted(-c.counter), "="),
-                                         Comparison(var(xp).shifted(-budget.max_value - 1), ">=")))
-            if above is not None:
-                yield t, Configuration(t.target, (above[xp],)), True
-        return
-    for t in m.transitions_from(c.state):
-        got = apply_payload(t.payload, c.counters)
-        if got is not None:
-            yield t, Configuration(t.target, got), max(got) > budget.max_value
+def _forward_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
+    """Kernel of the successors along t, above the window too."""
+    p = t.payload
+    if isinstance(p, AffineMapD):
+        rows = tuple((tuple((i, a) for i, a in enumerate(row) if a), b)
+                     for row, b in zip(p.matrix, p.offset))
+
+        def matrix(counters):
+            out = []
+            for terms, v in rows:
+                for i, a in terms:
+                    v += a * counters[i]
+                if v < 0:
+                    return ()
+                out.append(v)
+            return (tuple(out),)
+        return matrix
+    if isinstance(p, AffineMap1):
+        a, b, guard = p.a, p.b, p.guard
+
+        def scalar(counters):
+            n = counters[0]
+            v = a * n + b
+            if v < 0 or guard is not None and not guard.member(n):
+                return ()
+            return ((v,),)
+        return scalar
+    if isinstance(p, MinskyOp):
+        def op(counters):
+            got = apply_payload(p, counters)
+            return () if got is None else (got,)
+        return op
+    window = _relational_window(m, t, max_value)
+    (xv,), (xp,) = relational_variables(1)
+
+    def relation(counters):
+        inside = window(counters)
+        above = exists_solution(conj(p.formula,
+                                     Comparison(var(xv).shifted(-counters[0]), "="),
+                                     Comparison(var(xp).shifted(-max_value - 1), ">=")))
+        return inside if above is None else inside + ((above[xp],),)
+    return relation
+
+
+def _forward_table(m: Machine, max_value: int) -> dict:
+    return {q: tuple((t.target, _forward_kernel(m, t, max_value)) for t in m.transitions_from(q))
+            for q in m.states}
 
 
 def post_star(m: Machine, start: Configuration,
@@ -159,44 +196,38 @@ def post_star(m: Machine, start: Configuration,
     m.check_configuration(start)
     if not _within(start.counters, budget.max_value):
         return ExplorationResult(frozenset(), True)
-    parents, _, truncated = _search([start], lambda c: _forward_steps(m, c, budget), budget)
+    parents, _, truncated = _search([start], _forward_table(m, budget.max_value), budget)
     return ExplorationResult(frozenset(parents), truncated)
 
 
-def _backward_steps_affine1(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
-    """Yield (transition, predecessor, cut) triples; cut marks predecessors above max_value."""
-    v = c.counter
-    for t in m.transitions_to(c.state):
-        p: AffineMap1 = t.payload
-        if p.a == 0:
-            if v == p.b:
-                dom = domain_clause(p)
-                for n in dom.values(budget.max_value):
-                    yield t, Configuration(t.source, (n,)), False
-                beyond = intersect_clauses(dom, Clause(budget.max_value + 1))
-                if not beyond.is_empty:
-                    yield t, Configuration(t.source, (beyond.lo,)), True
-            continue
-        n, rest = divmod(v - p.b, p.a)
-        if rest or n < 0 or (p.guard is not None and not p.guard.member(n)):
-            continue
-        yield t, Configuration(t.source, (n,)), n > budget.max_value
-
-
-def _backward_steps_minsky(m: Machine, c: Configuration, budget: Budget) -> Iterator[Step]:
-    """Yield (transition, predecessor, cut) triples; cut marks predecessors above max_value."""
-    for t in m.transitions_to(c.state):
-        p: MinskyOp = t.payload
+def _backward_kernel(t: Transition, max_value: int) -> Callable:
+    """Kernel of the predecessors along a scalar affine or counter-op t, above the window too."""
+    p = t.payload
+    if isinstance(p, MinskyOp):
         i = p.counter - 1
-        vs = c.counters
         if p.op == "inc":
-            if vs[i] >= 1:
-                yield t, Configuration(t.source, vs[:i] + (vs[i] - 1,) + vs[i + 1:]), False
-        elif p.op == "dec":
-            up = vs[:i] + (vs[i] + 1,) + vs[i + 1:]
-            yield t, Configuration(t.source, up), vs[i] + 1 > budget.max_value
-        elif vs[i] == 0:
-            yield t, Configuration(t.source, vs), False
+            return lambda vs: (vs[:i] + (vs[i] - 1,) + vs[i + 1:],) if vs[i] >= 1 else ()
+        if p.op == "dec":
+            return lambda vs: (vs[:i] + (vs[i] + 1,) + vs[i + 1:],)
+        return lambda vs: (vs,) if vs[i] == 0 else ()
+    a, b, guard = p.a, p.b, p.guard
+    if a == 0:
+        dom = domain_clause(p)
+        beyond = intersect_clauses(dom, Clause(max_value + 1))
+
+        def constant(counters):
+            if counters[0] == b:
+                yield from ((n,) for n in dom.values(max_value))
+                if not beyond.is_empty:
+                    yield (beyond.lo,)
+        return constant
+
+    def scalar(counters):
+        n, rest = divmod(counters[0] - b, a)
+        if rest or n < 0 or guard is not None and not guard.member(n):
+            return ()
+        return ((n,),)
+    return scalar
 
 
 def _enters_window(m: Machine, t: Transition, max_value: int) -> bool:
@@ -217,24 +248,32 @@ def _enters_window(m: Machine, t: Transition, max_value: int) -> bool:
         return True
 
 
-def _window_predecessors(m: Machine,
-                         budget: Budget) -> tuple[dict[Configuration, list[Step]], bool]:
-    """Reverse of the forward steps over the whole window, for machines with no
-    backward step of their own; the flag says whether some transition maps a
-    configuration above the window into it."""
-    d = m.dimension
-    window = (budget.max_value + 1) ** d * len(m.states)
+def _window_table(m: Machine, budget: Budget) -> tuple[dict, bool]:
+    """Reverse of the in-window forward steps over the whole window, for machines
+    with no backward step of their own; the flag says whether some transition
+    maps a configuration above the window into it.
+
+    ``table[p]`` has one entry per source state q with a step into p, in the
+    order of ``m.states``, and its kernel gives the counters in q that step
+    into the given counters in p, in window order and then transition order.
+    """
+    d, max_value = m.dimension, budget.max_value
+    window = (max_value + 1) ** d * len(m.states)
     if window > budget.max_configs:
         raise BudgetExceededError(
             f"window of {window} configurations exceeds budget {budget.max_configs}")
-    reverse: dict[Configuration, list[Step]] = {}
+    scan = _relational_window if m.flavor == "relational" else _forward_kernel
+    reverse: dict[str, dict] = {p: {} for p in m.states}  # p -> q -> counters -> predecessors
     for q in m.states:
-        for vs in itertools.product(range(budget.max_value + 1), repeat=d):
-            c = Configuration(q, vs)
-            for t in m.transitions_from(q):
-                for nxt in _window_successors(m, t, c, budget.max_value):
-                    reverse.setdefault(nxt, []).append((t, c, False))
-    return reverse, any(_enters_window(m, t, budget.max_value) for t in m.transitions)
+        kernels = [(t.target, scan(m, t, max_value)) for t in m.transitions_from(q)]
+        for vs in itertools.product(range(max_value + 1), repeat=d):
+            for p, kernel in kernels:
+                for got in kernel(vs):
+                    if max(got) <= max_value:
+                        reverse[p].setdefault(q, {}).setdefault(got, []).append(vs)
+    table = {p: tuple((q, lambda vs, get=preds.get: get(vs, ())) for q, preds in sources.items())
+             for p, sources in reverse.items()}
+    return table, any(_enters_window(m, t, max_value) for t in m.transitions)
 
 
 def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuration], bool]:
@@ -267,15 +306,14 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
     whole window, budget permitting.
     """
     seeds, truncated = _seed_configs(m, target, budget)
-    if m.flavor == "affine1":
-        steps = lambda c: _backward_steps_affine1(m, c, budget)
-    elif m.flavor == "minsky":
-        steps = lambda c: _backward_steps_minsky(m, c, budget)
+    if m.flavor in ("affine1", "minsky"):
+        table = {q: tuple((t.source, _backward_kernel(t, budget.max_value))
+                          for t in m.transitions_to(q))
+                 for q in m.states}
     else:
-        reverse, window_cut = _window_predecessors(m, budget)
+        table, window_cut = _window_table(m, budget)
         truncated = truncated or window_cut
-        steps = lambda c: reverse.get(c, ())
-    parents, _, clipped = _search(seeds, steps, budget)
+    parents, _, clipped = _search(seeds, table, budget)
     return ExplorationResult(frozenset(parents), truncated or clipped)
 
 
@@ -298,8 +336,8 @@ def find_path(m: Machine, start: Configuration,
     m.check_configuration(start)
     if not _within(start.counters, budget.max_value):
         return None, True
-    parents, found, truncated = _search(
-        [start], lambda c: _forward_steps(m, c, budget), budget, lambda c: _matches(c, target))
+    table = _forward_table(m, budget.max_value)
+    parents, found, truncated = _search([start], table, budget, lambda c: _matches(c, target))
     if found is None:
         return None, truncated
     path = [found]
@@ -310,6 +348,7 @@ def find_path(m: Machine, start: Configuration,
     # out of its parent that yields it, as the search tried them in that order
     steps = []
     for prev, nxt in zip(path, path[1:]):
-        t = next(t for t, c, cut in _forward_steps(m, prev, budget) if c == nxt and not cut)
+        t = next(t for t, (_, kernel) in zip(m.transitions_from(prev.state), table[prev.state])
+                 if t.target == nxt.state and nxt.counters in kernel(prev.counters))
         steps.append((t, nxt))
     return steps, truncated

@@ -399,6 +399,21 @@ def test_strongly_monotone_no_for_zero_test_matrix():
     assert verdict.witness == m.transitions[0]
 
 
+
+def test_strongly_monotone_with_a_transition_that_never_fires():
+    # the zero middle row with offset -4 leaves the domain empty, so the
+    # negative entries below never apply
+    m = Machine(
+        name="idle",
+        dimension=3,
+        states=("q",),
+        transitions=(Transition("q", "q", AffineMapD(((1, 0, 2), (0, 0, 0), (2, 1, -2)),
+                                                     (3, -4, -3))),),
+        initial="q",
+    )
+    assert is_strongly_monotone(m).strongly_monotone
+
+
 def test_strongly_monotone_guard_handling():
     def single(payload):
         return Machine("g1", 1, ("q",), (Transition("q", "q", payload),), initial="q")

@@ -138,6 +138,19 @@ def test_exists_frozen_cases():
     assert exists_solution(conj(Congruence(X.shifted(-1), 2), Congruence(X, 2))) is None
 
 
+
+def test_exists_constant_false_row_is_unsatisfiable():
+    # -4 >= 0 fails whatever the other rows allow; the solver must say so
+    # at once rather than search the box of the satisfiable rows
+    f = conj(Comparison(LinearTerm.build({"x1": 1, "x3": 2}, 3), ">="),
+             Comparison(const(-4), ">="),
+             Comparison(LinearTerm.build({"x1": 2, "x2": 1, "x3": -2}, -3), ">="))
+    assert exists_solution(f, node_budget=1_000) is None
+    # a constant row that holds changes nothing
+    f = conj(Comparison(const(4), ">="), Comparison(X.shifted(-3), ">="))
+    assert exists_solution(f) == {"x": 3}
+
+
 def test_exists_arity_limit():
     f = And(tuple(Comparison(var(f"v{i}"), ">=") for i in range(5)))
     with pytest.raises(ArityError):

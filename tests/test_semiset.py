@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -173,8 +174,10 @@ def split_unbounded(s: SemilinearSet, rng: random.Random) -> SemilinearSet:
 
 def test_canon_is_canonical():
     rng = random.Random(8128)
-    for _ in range(300):
-        s = random_set(rng)
+    # moduli 1,999 and 6: a least period of 11,994, whose residue mask
+    # _minimal walks bit by bit
+    wide = semilinear([Clause(5, None, 1999, 7), Clause(3, None, 6, 1), Clause(0, 40, 1, 0)])
+    for s in itertools.chain((random_set(rng) for _ in range(300)), [wide]):
         other = random_set(rng)
         canon = s._canon
         for same in (s.normalized(), s.union(s.intersect(other)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,9 @@ from avasskit.machine import (
     Transition,
     UpwardTarget,
     apply,
+    apply_payload,
 )
-from avasskit.presburger import Comparison, const, var
+from avasskit.presburger import Comparison, Congruence, conj, const, disj, evaluate, var
 from avasskit.semiset import Clause
 from avasskit import simulator
 from avasskit.simulator import Budget, find_path, post_star, pre_star_bounded
@@ -287,3 +289,229 @@ def test_find_path_relational_scan():
     steps, _ = find_path(m, Configuration("a", (3,)), Configuration("a", (24,)),
                          Budget(max_value=100))
     assert steps is not None and len(steps) == 3
+
+
+# --- the table-driven search against a plain reference search ------------------
+
+def reference_search(starts, steps, budget, goal=None):
+    """Breadth-first search as the module documents it, over ``steps(c)``, which
+    gives (transition, configuration) pairs; a configuration above the window is
+    a cut.  Returns (parents, found, truncated) with parents[c] = (parent,
+    transition) or None for a start."""
+    parents = dict.fromkeys(starts)
+    if goal is not None:
+        for c in parents:
+            if goal(c):
+                return parents, c, False
+    truncated = False
+    frontier = list(parents)
+    depth = 0
+    while frontier:
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            return parents, None, True
+        depth += 1
+        reached = []
+        for c in frontier:
+            for t, nxt in steps(c):
+                if max(nxt.counters) > budget.max_value:
+                    truncated = True
+                elif nxt not in parents:
+                    if len(parents) >= budget.max_configs:
+                        return parents, None, True
+                    parents[nxt] = (c, t)
+                    if goal is not None and goal(nxt):
+                        return parents, nxt, truncated
+                    reached.append(nxt)
+        frontier = reached
+    return parents, None, truncated
+
+
+def far(budget):
+    """How far above the window the reference looks for steps that leave or enter
+    it; on the machines below no step reaches further."""
+    return 3 * budget.max_value + 10
+
+
+def successors(m, c, budget):
+    """Every step out of c, found by applying each transition."""
+    for t in m.transitions:
+        if t.source != c.state:
+            continue
+        if isinstance(t.payload, RelationalUpdate):
+            for v in range(far(budget)):
+                if evaluate(t.payload.formula, {"x": c.counter, "x'": v}):
+                    yield t, Configuration(t.target, (v,))
+        else:
+            got = apply_payload(t.payload, c.counters)
+            if got is not None:
+                yield t, Configuration(t.target, got)
+
+
+def in_window(m, budget):
+    return [Configuration(q, vs) for q in m.states
+            for vs in itertools.product(range(budget.max_value + 1), repeat=m.dimension)]
+
+
+def reference_post_star(m, start, budget):
+    if max(start.counters) > budget.max_value:
+        return frozenset(), True
+    parents, _, truncated = reference_search([start], lambda c: successors(m, c, budget), budget)
+    return frozenset(parents), truncated
+
+
+def reference_find_path(m, start, target, budget):
+    if max(start.counters) > budget.max_value:
+        return None, True
+    if isinstance(target, Configuration):
+        goal = target.__eq__
+    else:
+        goal = lambda c: c.state == target.state and all(
+            a >= b for a, b in zip(c.counters, target.config.counters))
+    parents, found, truncated = reference_search(
+        [start], lambda c: successors(m, c, budget), budget, goal)
+    if found is None:
+        return None, truncated
+    steps = []
+    while parents[found] is not None:
+        prev, t = parents[found]
+        steps.append((t, found))
+        found = prev
+    return steps[::-1], truncated
+
+
+def reference_pre_star(m, target, budget):
+    """Backward search; "budget" where the simulator must raise BudgetExceededError."""
+    mv = budget.max_value
+    if isinstance(target, Configuration):
+        seeds = [target] if max(target.counters) <= mv else []
+    else:
+        seeds = [c for c in in_window(m, budget) if c.state == target.state
+                 and all(a >= b for a, b in zip(c.counters, target.config.counters))]
+        if len(seeds) > budget.max_configs:
+            return "budget"
+    truncated = not seeds
+    if m.flavor in ("affine1", "minsky"):
+        # every predecessor, found by applying each transition into the state
+        box = list(itertools.product(range(far(budget) if m.flavor == "affine1" else mv + 2),
+                                     repeat=m.dimension))
+
+        def steps(c):
+            for t in m.transitions:
+                if t.target == c.state:
+                    for u in box:
+                        if apply_payload(t.payload, u) == c.counters:
+                            yield t, Configuration(t.source, u)
+    else:
+        # the reverse of the steps inside the window, and truncated when a
+        # step from above the window enters it
+        window = in_window(m, budget)
+        if len(window) > budget.max_configs:
+            return "budget"
+        reverse = {}
+        for c in window:
+            for t, nxt in successors(m, c, budget):
+                if max(nxt.counters) <= mv:
+                    reverse.setdefault(nxt, []).append((t, c))
+        above = [Configuration(q, vs) for q in m.states
+                 for vs in itertools.product(range(far(budget)), repeat=m.dimension)
+                 if max(vs) > mv]
+        truncated = truncated or any(max(nxt.counters) <= mv for c in above
+                                     for _, nxt in successors(m, c, budget))
+        steps = lambda c: reverse.get(c, ())
+    parents, _, clipped = reference_search(seeds, steps, budget)
+    return frozenset(parents), truncated or clipped
+
+
+def random_guarded_affine1(rng):
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    ts = []
+    for _ in range(rng.randint(1, 5)):
+        guard = rng.choice([None, Clause(rng.randint(0, 5), rng.choice([None, rng.randint(5, 30)]),
+                                         rng.randint(1, 3), rng.randint(0, 2))])
+        payload = AffineMap1(rng.choice([-2, -1, 0, 1, 2]), rng.randint(-6, 8), guard)
+        ts.append(Transition(rng.choice(states), rng.choice(states), payload))
+    return Machine("g", 1, states, tuple(ts)), 15
+
+
+def random_matrix(rng):
+    d = rng.randint(1, 3)
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    ts = []
+    for _ in range(rng.randint(1, 4)):
+        payload = AffineMapD(tuple(tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d)),
+                             tuple(rng.randint(-3, 3) for _ in range(d)))
+        ts.append(Transition(rng.choice(states), rng.choice(states), payload))
+    return Machine("x", d, states, tuple(ts)), {1: 10, 2: 5, 3: 3}[d]
+
+
+def random_minsky(rng):
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    ts = [Transition(rng.choice(states), rng.choice(states),
+                     MinskyOp(rng.choice(["inc", "dec", "zero"]), rng.randint(1, 2)))
+          for _ in range(rng.randint(1, 6))]
+    return Machine("k", 2, states, tuple(ts)), 5
+
+
+def random_relational(rng):
+    x, xp = var("x"), var("x'")
+    a, b, k = rng.randint(-2, 3), rng.randint(-5, 5), rng.randint(1, 3)
+    forms = [
+        Comparison(xp.minus(x.times(a)).minus(const(b)), "="),
+        Comparison(xp.minus(x).minus(const(b)), ">="),
+        conj(Comparison(xp.minus(x).minus(const(b)), "<="), Congruence(xp.minus(const(b)), k + 1)),
+        disj(Comparison(xp.minus(x).minus(const(1)), "="), Comparison(xp.minus(x.times(2)), "=")),
+        conj(Comparison(xp.minus(x).plus(const(k)), "<="),
+             Comparison(xp.minus(x).plus(const(6)), ">=")),
+    ]
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    ts = [Transition(rng.choice(states), rng.choice(states), RelationalUpdate(rng.choice(forms)))
+          for _ in range(rng.randint(1, 3))]
+    return Machine("r", 1, states, tuple(ts)), 10
+
+
+@pytest.mark.parametrize("make", [random_guarded_affine1, random_matrix, random_minsky,
+                                  random_relational])
+def test_search_matches_reference_search(make):
+    rng = random.Random(f"reference-{make.__name__}")
+    for _ in range(12):
+        m, mv = make(rng)
+        start, target = (Configuration(rng.choice(m.states),
+                                       tuple(rng.randint(0, mv) for _ in range(m.dimension)))
+                         for _ in range(2))
+        for budget in (Budget(max_value=mv), Budget(max_value=mv, max_depth=3),
+                       Budget(max_value=mv, max_configs=7)):
+            got = post_star(m, start, budget)
+            assert (got.configs, got.truncated) == reference_post_star(m, start, budget), m
+            for goal in (target, UpwardTarget(target)):
+                assert find_path(m, start, goal, budget) == \
+                    reference_find_path(m, start, goal, budget), (m, goal)
+                want = reference_pre_star(m, goal, budget)
+                if want == "budget":
+                    with pytest.raises(BudgetExceededError):
+                        pre_star_bounded(m, goal, budget)
+                else:
+                    got = pre_star_bounded(m, goal, budget)
+                    assert (got.configs, got.truncated) == want, (m, goal, budget)
+
+
+def test_forward_kernels_agree_with_apply_payload():
+    rng = random.Random(41)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        kind = rng.choice(["scalar", "matrix", "op"] if d == 1 else ["matrix", "op"])
+        if kind == "scalar":
+            hi = rng.choice([None, rng.randint(6, 20)])
+            guard = rng.choice([None, Clause(rng.randint(0, 6), hi, rng.randint(1, 4),
+                                             rng.randint(0, 3))])
+            payload = AffineMap1(rng.randint(-3, 3), rng.randint(-10, 10), guard)
+        elif kind == "matrix":
+            rows = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d))
+            payload = AffineMapD(rows, tuple(rng.randint(-5, 5) for _ in range(d)))
+        else:
+            payload = MinskyOp(rng.choice(["inc", "dec", "zero"]), rng.randint(1, d))
+        t = Transition("a", "a", payload)
+        kernel = simulator._forward_kernel(Machine("k", d, ("a",), (t,)), t, 10)
+        for _ in range(20):
+            vs = tuple(rng.choice([0, 0, 1, rng.randint(0, 20)]) for _ in range(d))
+            got = apply_payload(payload, vs)
+            assert tuple(kernel(vs)) == (() if got is None else (got,)), (payload, vs)
