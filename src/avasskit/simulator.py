@@ -35,7 +35,8 @@ Relational machines of dimension 1 have no successor function: the forward
 kernel scans the candidate values ``0..max_value``, then asks the solver
 whether the relation also allows a successor above ``max_value``, and adds
 that one witness if it does.  So ``truncated`` means the same for them as for
-the functional flavors.
+the functional flavors.  Relational machines of other dimensions raise
+:class:`FlavorError` before any search starts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import Callable, Iterable
 
 from .errors import ArityError, BudgetExceededError, FlavorError
 from .machine import (
-    AffineMap1,
     AffineMapD,
     Configuration,
     Machine,
@@ -128,17 +128,24 @@ def _search(starts: Iterable[Configuration], table: dict, budget: Budget,
     return parents, None, truncated
 
 
-def _relational_window(m: Machine, t: Transition, max_value: int) -> Callable:
-    """Kernel of the successors along a relational t with every counter <= max_value."""
-    if m.dimension != 1:
-        raise FlavorError("relational exploration is implemented for dimension 1 only")
+def _relational_kernels(t: Transition, max_value: int) -> tuple[Callable, Callable]:
+    """Kernels of the successors along a dimension-1 relational t: those with
+    the counter <= max_value, and those plus the one witness above the window
+    that the solver finds, if there is one."""
     (xv,), (xp,) = relational_variables(1)
     formula = t.payload.formula
 
     def window(counters):
         n = counters[0]
         return tuple((v,) for v in range(max_value + 1) if evaluate(formula, {xv: n, xp: v}))
-    return window
+
+    def relation(counters):
+        inside = window(counters)
+        above = exists_solution(conj(formula,
+                                     Comparison(var(xv).shifted(-counters[0]), "="),
+                                     Comparison(var(xp).shifted(-max_value - 1), ">=")))
+        return inside if above is None else inside + ((above[xp],),)
+    return window, relation
 
 
 def _forward_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
@@ -158,31 +165,26 @@ def _forward_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
                 out.append(v)
             return (tuple(out),)
         return matrix
-    if isinstance(p, AffineMap1):
-        a, b, guard = p.a, p.b, p.guard
+    if m.flavor == "relational":
+        return _relational_kernels(t, max_value)[1]
 
-        def scalar(counters):
-            n = counters[0]
-            v = a * n + b
-            if v < 0 or guard is not None and not guard.member(n):
-                return ()
-            return ((v,),)
-        return scalar
-    if isinstance(p, MinskyOp):
-        def op(counters):
-            got = apply_payload(p, counters)
-            return () if got is None else (got,)
-        return op
-    window = _relational_window(m, t, max_value)
-    (xv,), (xp,) = relational_variables(1)
+    def op(counters):
+        got = apply_payload(p, counters)
+        return () if got is None else (got,)
+    return op
 
-    def relation(counters):
-        inside = window(counters)
-        above = exists_solution(conj(p.formula,
-                                     Comparison(var(xv).shifted(-counters[0]), "="),
-                                     Comparison(var(xp).shifted(-max_value - 1), ">=")))
-        return inside if above is None else inside + ((above[xp],),)
-    return relation
+
+def _window_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
+    """Kernel of the successors along t, in the window at least: a relational t
+    skips the solver's witness above it."""
+    if m.flavor == "relational":
+        return _relational_kernels(t, max_value)[0]
+    return _forward_kernel(m, t, max_value)
+
+
+def _check_flavor(m: Machine) -> None:
+    if m.flavor == "relational" and m.dimension != 1:
+        raise FlavorError("relational exploration is implemented for dimension 1 only")
 
 
 def _forward_table(m: Machine, max_value: int) -> dict:
@@ -194,6 +196,7 @@ def post_star(m: Machine, start: Configuration,
               budget: Budget = Budget()) -> ExplorationResult:
     """All configurations reachable from start with every counter <= max_value."""
     m.check_configuration(start)
+    _check_flavor(m)
     if not _within(start.counters, budget.max_value):
         return ExplorationResult(frozenset(), True)
     parents, _, truncated = _search([start], _forward_table(m, budget.max_value), budget)
@@ -262,10 +265,9 @@ def _window_table(m: Machine, budget: Budget) -> tuple[dict, bool]:
     if window > budget.max_configs:
         raise BudgetExceededError(
             f"window of {window} configurations exceeds budget {budget.max_configs}")
-    scan = _relational_window if m.flavor == "relational" else _forward_kernel
     reverse: dict[str, dict] = {p: {} for p in m.states}  # p -> q -> counters -> predecessors
     for q in m.states:
-        kernels = [(t.target, scan(m, t, max_value)) for t in m.transitions_from(q)]
+        kernels = [(t.target, _window_kernel(m, t, max_value)) for t in m.transitions_from(q)]
         for vs in itertools.product(range(max_value + 1), repeat=d):
             for p, kernel in kernels:
                 for got in kernel(vs):
@@ -305,6 +307,7 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
     matrix and 1-dim relational flavors go through a reverse adjacency of the
     whole window, budget permitting.
     """
+    _check_flavor(m)
     seeds, truncated = _seed_configs(m, target, budget)
     if m.flavor in ("affine1", "minsky"):
         table = {q: tuple((t.source, _backward_kernel(t, budget.max_value))
@@ -334,10 +337,11 @@ def find_path(m: Machine, start: Configuration,
     was found — with truncated saying whether the search was budget-clipped.
     """
     m.check_configuration(start)
+    _check_flavor(m)
     if not _within(start.counters, budget.max_value):
         return None, True
-    table = _forward_table(m, budget.max_value)
-    parents, found, truncated = _search([start], table, budget, lambda c: _matches(c, target))
+    parents, found, truncated = _search([start], _forward_table(m, budget.max_value), budget,
+                                        lambda c: _matches(c, target))
     if found is None:
         return None, truncated
     path = [found]
@@ -348,7 +352,7 @@ def find_path(m: Machine, start: Configuration,
     # out of its parent that yields it, as the search tried them in that order
     steps = []
     for prev, nxt in zip(path, path[1:]):
-        t = next(t for t, (_, kernel) in zip(m.transitions_from(prev.state), table[prev.state])
-                 if t.target == nxt.state and nxt.counters in kernel(prev.counters))
+        t = next(t for t in m.transitions_from(prev.state) if t.target == nxt.state
+                 and nxt.counters in _window_kernel(m, t, budget.max_value)(prev.counters))
         steps.append((t, nxt))
     return steps, truncated

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from avasskit.errors import BudgetExceededError
+from avasskit.errors import BudgetExceededError, FlavorError
 from avasskit.machine import (
     AffineMap1,
     AffineMapD,
@@ -80,6 +80,22 @@ def test_relational_forward_truncation():
     same = Comparison(var("x'").minus(var("x")), "=")
     m = Machine("r", 1, ("a",), (Transition("a", "a", RelationalUpdate(same)),))
     assert not post_star(m, Configuration("a", (5,)), Budget(max_value=5)).truncated
+
+
+def test_relational_dimension_two_is_refused_before_searching():
+    # the refusal does not depend on whether a relational step is ever tried:
+    # state b has no way out, and a depth of 0 takes no step at all
+    keep = conj(Comparison(var("x1'").minus(var("x1")), "="),
+                Comparison(var("x2'").minus(var("x2")), "="))
+    m = Machine("r2", 2, ("a", "b"), (Transition("a", "a", RelationalUpdate(keep)),))
+    for start, budget in ((Configuration("b", (0, 0)), Budget(max_value=3)),
+                          (Configuration("a", (0, 0)), Budget(max_value=3, max_depth=0))):
+        with pytest.raises(FlavorError):
+            post_star(m, start, budget)
+        with pytest.raises(FlavorError):
+            find_path(m, start, Configuration("a", (1, 1)), budget)
+        with pytest.raises(FlavorError):
+            pre_star_bounded(m, start, budget)
 
 
 def test_post_star_depth_budget():
