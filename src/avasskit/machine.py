@@ -108,7 +108,8 @@ class Transition:
 class Configuration:
     """A control state plus counter values (a tuple, one entry per dimension).
 
-    Slotted: explicit-state search holds many of these at once.
+    Slotted, as a caller may hold many at once, say every configuration of a
+    search result.  Explicit-state search itself keeps only counter tuples.
     """
 
     state: str

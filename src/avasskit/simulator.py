@@ -12,6 +12,15 @@ gives the counter tuples that way out of the state leads to: none, one or
 many.  Forward tables have one entry per transition, in the order of
 ``transitions_from``; backward tables are described below.
 
+The search holds no :class:`Configuration` objects: its visited set is one
+dict per state, keyed by counter tuples, and each table entry carries the dict
+of its target state, so a kernel result already visited costs one tuple
+lookup.  A ``(state, counters)`` pair is made only for a new configuration,
+and is also the parent pointer :func:`find_path` walks back.  A result's
+``configs`` is a :class:`ConfigurationSet`, a read-only set over one frozenset
+of counter tuples per state.  Configuration objects are built only at the
+edge: the starts, the steps of a path, and iteration over ``configs``.
+
 The search owns the budget and the one cut rule: ``max_depth`` caps the number
 of steps from a start, ``max_configs`` the number of visited configurations,
 and a kernel result with a counter above ``max_value`` is a cut, never
@@ -42,10 +51,11 @@ the functional flavors.  Relational machines of other dimensions raise
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .errors import ArityError, BudgetExceededError, FlavorError
+from .errors import ArityError, BudgetExceededError, FlavorError, MachineError
 from .machine import (
     AffineMapD,
     Configuration,
@@ -68,16 +78,52 @@ class Budget:
     max_depth: int | None = None
 
 
+class ConfigurationSet(Set):
+    """A read-only set of configurations, held as one frozenset of counter
+    tuples per state.
+
+    Membership and ``len`` build no objects; iteration builds each
+    :class:`Configuration` as it goes.  It equals the frozenset of the same
+    configurations and has the same hash; ``|``, ``&``, ``-`` and ``^`` give a
+    plain frozenset.
+    """
+
+    __slots__ = ("_counters",)
+
+    def __init__(self, counters: dict[str, frozenset[tuple[int, ...]]]):
+        self._counters = counters
+
+    def __contains__(self, c: object) -> bool:
+        if not isinstance(c, Configuration):
+            return False
+        got = self._counters.get(c.state)
+        return got is not None and c.counters in got
+
+    def __len__(self) -> int:
+        return sum(map(len, self._counters.values()))
+
+    def __iter__(self) -> Iterator[Configuration]:
+        for state, got in self._counters.items():
+            for counters in got:
+                yield Configuration(state, counters)
+
+    _from_iterable = frozenset
+    __hash__ = Set._hash
+
+
 @dataclass(frozen=True)
 class ExplorationResult:
-    configs: frozenset[Configuration]
+    configs: ConfigurationSet
     truncated: bool
 
     def states_to_values(self) -> dict[str, list[int]]:
         """Single-counter view: state -> sorted counter values (dimension 1 only)."""
         out: dict[str, list[int]] = {}
-        for c in sorted(self.configs, key=lambda c: (c.state, c.counters)):
-            out.setdefault(c.state, []).append(c.counter)
+        for state, got in sorted(self.configs._counters.items()):
+            # every counter tuple of a result has the machine's dimension
+            if len(next(iter(got))) != 1:
+                raise MachineError("single-counter access on a multi-counter configuration")
+            out[state] = sorted(n for n, in got)
         return out
 
 
@@ -85,47 +131,65 @@ def _within(counters: tuple[int, ...], max_value: int) -> bool:
     return max(counters) <= max_value
 
 
+Pair = tuple[str, tuple[int, ...]]
+
+
 def _search(starts: Iterable[Configuration], table: dict, budget: Budget,
-            goal: Callable[[Configuration], bool] | None = None
-            ) -> tuple[dict[Configuration, Configuration | None], Configuration | None, bool]:
+            goal: Callable[[Pair], bool] | None = None
+            ) -> tuple[dict[str, dict[tuple[int, ...], Pair | None]], Pair | None, bool]:
     """Breadth-first search from ``starts`` over ``table`` within ``budget``.
 
-    Returns ``(parents, found, truncated)``: parents maps every visited
-    configuration to the one it was first reached from (None for a start),
-    and found is the first visited configuration that satisfies ``goal``,
-    where the search stops, or None.
+    Returns ``(seen, found, truncated)``.  ``seen[state]`` maps the counters of
+    every visited configuration in that state to the ``(state, counters)``
+    pair it was first reached from (None for a start); found is the first
+    visited pair that satisfies ``goal``, where the search stops, or None.
     """
-    parents: dict[Configuration, Configuration | None] = dict.fromkeys(starts)
+    seen: dict[str, dict] = {q: {} for q in table}
+    frontier = []
+    for c in starts:
+        into = seen[c.state]
+        if c.counters not in into:
+            into[c.counters] = None
+            frontier.append((c.state, c.counters))
     if goal is not None:
-        for c in parents:
-            if goal(c):
-                return parents, c, False
+        for pair in frontier:
+            if goal(pair):
+                return seen, pair, False
+    rows = {q: tuple((seen[p], p, kernel) for p, kernel in entries)
+            for q, entries in table.items()}
     max_value, max_configs, max_depth = budget.max_value, budget.max_configs, budget.max_depth
+    visited = len(frontier)
     truncated = False
-    frontier = list(parents)
     depth = 0
     while frontier:
         if max_depth is not None and depth >= max_depth:
-            return parents, None, True
+            return seen, None, True
         depth += 1
         reached = []
-        for c in frontier:
-            counters = c.counters
-            for state, kernel in table[c.state]:
+        for pair in frontier:
+            state, counters = pair
+            for into, p, kernel in rows[state]:
                 for got in kernel(counters):
+                    if got in into:
+                        continue
                     if max(got) > max_value:
                         truncated = True
                         continue
-                    nxt = Configuration(state, got)
-                    if nxt not in parents:
-                        if len(parents) >= max_configs:
-                            return parents, None, True
-                        parents[nxt] = c
-                        if goal is not None and goal(nxt):
-                            return parents, nxt, truncated
-                        reached.append(nxt)
+                    if visited >= max_configs:
+                        return seen, None, True
+                    visited += 1
+                    into[got] = pair
+                    nxt = (p, got)
+                    if goal is not None and goal(nxt):
+                        return seen, nxt, truncated
+                    reached.append(nxt)
         frontier = reached
-    return parents, None, truncated
+    return seen, None, truncated
+
+
+def _result(seen: dict[str, dict], truncated: bool) -> ExplorationResult:
+    configs = ConfigurationSet({q: frozenset(got) for q, got in seen.items() if got})
+    return ExplorationResult(configs, truncated)
 
 
 def _relational_kernels(t: Transition, max_value: int) -> tuple[Callable, Callable]:
@@ -198,9 +262,9 @@ def post_star(m: Machine, start: Configuration,
     m.check_configuration(start)
     _check_flavor(m)
     if not _within(start.counters, budget.max_value):
-        return ExplorationResult(frozenset(), True)
-    parents, _, truncated = _search([start], _forward_table(m, budget.max_value), budget)
-    return ExplorationResult(frozenset(parents), truncated)
+        return _result({}, True)
+    seen, _, truncated = _search([start], _forward_table(m, budget.max_value), budget)
+    return _result(seen, truncated)
 
 
 def _backward_kernel(t: Transition, max_value: int) -> Callable:
@@ -316,15 +380,15 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
     else:
         table, window_cut = _window_table(m, budget)
         truncated = truncated or window_cut
-    parents, _, clipped = _search(seeds, table, budget)
-    return ExplorationResult(frozenset(parents), truncated or clipped)
+    seen, _, clipped = _search(seeds, table, budget)
+    return _result(seen, truncated or clipped)
 
 
-def _matches(c: Configuration, target: Configuration | UpwardTarget) -> bool:
+def _goal(target: Configuration | UpwardTarget) -> Callable[[Pair], bool]:
     if isinstance(target, Configuration):
-        return c == target
-    t = target.config
-    return c.state == t.state and all(a >= b for a, b in zip(c.counters, t.counters))
+        return (target.state, target.counters).__eq__
+    state, low = target.config.state, target.config.counters
+    return lambda pair: pair[0] == state and all(a >= b for a, b in zip(pair[1], low))
 
 
 def find_path(m: Machine, start: Configuration,
@@ -340,19 +404,19 @@ def find_path(m: Machine, start: Configuration,
     _check_flavor(m)
     if not _within(start.counters, budget.max_value):
         return None, True
-    parents, found, truncated = _search([start], _forward_table(m, budget.max_value), budget,
-                                        lambda c: _matches(c, target))
+    seen, found, truncated = _search([start], _forward_table(m, budget.max_value), budget,
+                                     _goal(target))
     if found is None:
         return None, truncated
     path = [found]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
+    while (prev := seen[path[-1][0]][path[-1][1]]) is not None:
+        path.append(prev)
     path.reverse()
     # the transition a configuration was first reached by is the first one
     # out of its parent that yields it, as the search tried them in that order
     steps = []
-    for prev, nxt in zip(path, path[1:]):
-        t = next(t for t in m.transitions_from(prev.state) if t.target == nxt.state
-                 and nxt.counters in _window_kernel(m, t, budget.max_value)(prev.counters))
-        steps.append((t, nxt))
+    for (q, vs), (p, ws) in zip(path, path[1:]):
+        t = next(t for t in m.transitions_from(q) if t.target == p
+                 and ws in _window_kernel(m, t, budget.max_value)(vs))
+        steps.append((t, Configuration(p, ws)))
     return steps, truncated

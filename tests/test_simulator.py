@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from avasskit.errors import BudgetExceededError, FlavorError
+from avasskit.errors import BudgetExceededError, FlavorError, MachineError
 from avasskit.machine import (
     AffineMap1,
     AffineMapD,
@@ -67,6 +67,8 @@ def test_post_star_truncation_flag():
     got = post_star(swap, Configuration("a", (3, 1)), Budget(max_value=3))
     assert got.configs == {Configuration("a", (3, 1)), Configuration("a", (1, 3))}
     assert not got.truncated
+    with pytest.raises(MachineError):
+        got.states_to_values()
 
 
 def test_relational_forward_truncation():
@@ -103,6 +105,42 @@ def test_post_star_depth_budget():
     got = post_star(grow, Configuration("a", (0,)), Budget(max_value=50, max_depth=3))
     assert got.truncated
     assert {c.counter for c in got.configs} == {0, 1, 2, 3}
+
+
+# --- the configuration set of a result ----------------------------------------
+
+def test_configs_set_operators_give_frozensets():
+    configs = post_star(m1(), Configuration("q1", (1,)), Budget(max_value=100)).configs
+    plain = frozenset(configs)
+    other = {Configuration("q1", (1,)), Configuration("q3", (0,))}
+    for got, want in ((configs | other, plain | other), (configs & other, plain & other),
+                      (configs - other, plain - other), (configs ^ other, plain ^ other),
+                      (other | configs, other | plain), (other - configs, other - plain)):
+        assert type(got) is frozenset and got == want
+
+
+def test_configs_contain_only_configurations():
+    configs = post_star(m1(), Configuration("q1", (10,))).configs
+    assert Configuration("q1", (9,)) in configs
+    assert Configuration("q2", (9,)) not in configs
+    for other in (("q1", (9,)), "q1", (9,), None):
+        assert other not in configs
+
+
+def test_configs_hash_as_the_frozenset_of_their_elements():
+    for start in (Configuration("q1", (1,)), Configuration("q1", (10,))):
+        got = post_star(m1(), start, Budget(max_value=100))
+        assert got.configs == frozenset(got.configs) and frozenset(got.configs) == got.configs
+        assert hash(got.configs) == hash(frozenset(got.configs))
+        assert hash(got) == hash(simulator.ExplorationResult(frozenset(got.configs), False))
+
+
+def test_post_star_from_outside_the_window_gives_an_empty_set():
+    got = post_star(m1(), Configuration("q1", (101,)), Budget(max_value=100))
+    inside = post_star(m1(), Configuration("q1", (10,)), Budget(max_value=100))
+    assert type(got.configs) is type(inside.configs)
+    assert got.truncated and len(got.configs) == 0 and got.configs == frozenset()
+    assert hash(got.configs) == hash(frozenset())
 
 
 # --- backward search ---------------------------------------------------------
