@@ -284,7 +284,7 @@ def _cmd_sim(args) -> int:
     budget = Budget(max_value=args.max_value, max_configs=args.max_configs)
     if args.pre is None:
         result = post_star(m, src, budget)
-        rendered = sorted(c.render() for c in result.configs)
+        rendered = result.configs.rendered()
         if args.json:
             _emit_json({"configs": rendered,
                         "truncated": result.truncated})

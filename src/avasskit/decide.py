@@ -21,12 +21,13 @@ from .machine import (
     Machine,
     Transition,
     UpwardTarget,
-    effective_domain,
+    affine_rows,
+    affine_terms,
+    domain_clause,
     fresh_state,
     negative_transitions,
-    relational_variables,
 )
-from .presburger import Comparison, LinearTerm, conj, exists_solution
+from .presburger import Comparison, conj, exists_solution
 from .prestar import compute_pre_star, compute_pre_star_upward
 
 __all__ = [
@@ -196,14 +197,6 @@ class StrongMonotonyVerdict:
         return f"no: transition {t.source} -> {t.target} is not monotone"
 
 
-def _affine_domain_nonempty(matrix, offset) -> bool:
-    """Does ``A x + b >= 0`` have a solution over the naturals?"""
-    xs, _ = relational_variables(len(offset))
-    rows = [Comparison(LinearTerm.build(dict(zip(xs, row)), b), ">=")
-            for row, b in zip(matrix, offset)]
-    return exists_solution(conj(*rows)) is not None
-
-
 def is_strongly_monotone(m: Machine) -> StrongMonotonyVerdict:
     """Does every transition individually preserve the counter order?
 
@@ -224,14 +217,14 @@ def is_strongly_monotone(m: Machine) -> StrongMonotonyVerdict:
         raise FlavorError("strong monotony is decided for affine machines")
     for t in m.transitions:
         p = t.payload
+        rows = affine_rows(p, m.dimension)
+        nonnegative = all(k >= 0 for terms, _ in rows for _, k in terms)
         if isinstance(p, AffineMap1):
-            dom = effective_domain(p)
-            ok = dom.is_empty or (p.a >= 0 and dom.equal(dom.upward_closure()))
+            dom = domain_clause(p)
+            ok = dom.is_empty or (nonnegative and dom.hi is None and dom.modulus == 1)
         else:
-            if all(e >= 0 for row in p.matrix for e in row):
-                ok = True
-            else:
-                ok = not _affine_domain_nonempty(p.matrix, p.offset)
+            ok = nonnegative or exists_solution(
+                conj(*(Comparison(y, ">=") for y in affine_terms(rows)))) is None
         if not ok:
             return StrongMonotonyVerdict(False, witness=t)
     return StrongMonotonyVerdict(True)

@@ -12,6 +12,11 @@ One machine holds transitions of exactly one payload flavor:
 
 The flavor determines which analyses apply; :func:`classify` answers the
 syntactic questions the decision procedures dispatch on.
+
+Every analysis reads a payload through one of two views.  :func:`affine_rows`
+gives the map of an affine or counter-op payload as sparse rows, one
+``(terms, offset)`` per counter; :func:`domain_clause` gives where a scalar
+affine payload is defined, as one clause.
 """
 
 from __future__ import annotations
@@ -22,14 +27,8 @@ from operator import mul
 from typing import Union
 
 from .errors import FlavorError, MachineError
-from .semiset import (
-    EMPTY_CLAUSE,
-    Clause,
-    SemilinearSet,
-    _cdiv,
-    intersect_clauses,
-    semilinear,
-)
+from .presburger import LinearTerm
+from .semiset import EMPTY_CLAUSE, Clause, _cdiv, intersect_clauses
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,12 @@ class AffineMapD:
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise MachineError(
                 f"matrix must be {d}x{d} to match the offset vector")
+
+    @cached_property
+    def rows(self) -> Rows:
+        """Each counter's nonzero ``(index, coefficient)`` terms and its offset."""
+        return tuple((tuple((i, k) for i, k in enumerate(row) if k), b)
+                     for row, b in zip(self.matrix, self.offset))
 
 
 MINSKY_OPS = ("inc", "dec", "zero")
@@ -88,6 +93,8 @@ class RelationalUpdate:
 
 
 Payload = Union[AffineMap1, AffineMapD, MinskyOp, RelationalUpdate]
+
+Rows = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
 
 
 def relational_variables(dimension: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -128,7 +135,12 @@ class Configuration:
         return self.counters[0]
 
     def render(self) -> str:
-        return f"{self.state}:{','.join(str(c) for c in self.counters)}"
+        return render_configuration(self.state, self.counters)
+
+
+def render_configuration(state: str, counters: tuple[int, ...]) -> str:
+    """``state:c1,...,cd``, the text form of a configuration."""
+    return f"{state}:{','.join(map(str, counters))}"
 
 
 @dataclass(frozen=True)
@@ -247,74 +259,57 @@ class Classification:
     is_functional_syntactically: bool
 
 
-def _matrix_of(p: Payload, dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """(A, b) view of an affine payload, None for non-affine ones.
+def affine_rows(p: Payload, dim: int) -> Rows | None:
+    """The sparse-row view of a payload's map, None for zero tests and relations.
 
     Guards are not part of the view.  A counter increment or decrement is the
-    identity matrix plus a unit offset; a zero test is a guard, not a map.
+    identity plus a unit offset; a zero test is a guard, not a map.
     """
-    if isinstance(p, AffineMap1):
-        return ((p.a,),), (p.b,)
     if isinstance(p, AffineMapD):
-        return p.matrix, p.offset
+        return p.rows
+    if isinstance(p, AffineMap1):
+        return ((((0, p.a),) if p.a else (), p.b),)
     if isinstance(p, MinskyOp) and p.op != "zero":
-        step = 1 if p.op == "inc" else -1
-        ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        return ident, tuple(step if i == p.counter - 1 else 0 for i in range(dim))
+        i, step = p.counter - 1, 1 if p.op == "inc" else -1
+        return tuple((((j, 1),), step if j == i else 0) for j in range(dim))
     return None
+
+
+def affine_terms(rows: Rows) -> list[LinearTerm]:
+    """The successor counters of affine rows as terms over the current counters."""
+    xs, _ = relational_variables(len(rows))
+    return [LinearTerm.build({xs[i]: k for i, k in terms}, b) for terms, b in rows]
 
 
 def classify(m: Machine) -> Classification:
     """Syntactic classification of a machine, stable under state renaming/reordering.
 
-    Affine flavors: a VASS has every matrix equal to the identity (guards are
-    not consulted); positive means all matrix entries >= 0; totally positive
-    additionally needs all offsets >= 0.  Counter-op flavor: zero-tests break
-    the affine classes (they are guards, not maps), decrements additionally
-    break total positivity.  A machine counts as Minsky when its flavor is the
-    counter-op one, or when it is a VASS whose offsets are zero or unit
-    vectors (each step a single inc/dec/no-op).  Relational machines get all
-    affine flags False: the payload shape does not exhibit a map.
+    Reads each payload's :func:`affine_rows`, guards not consulted.  A VASS has
+    every matrix equal to the identity; positive means all matrix entries
+    >= 0; totally positive additionally needs all offsets >= 0.  A payload
+    with no rows (a zero test or a relation) breaks every affine class.  A
+    machine counts as Minsky when its flavor is the counter-op one, or when it
+    is a VASS whose offsets are zero or unit vectors (each step a single
+    inc/dec/no-op).  Only relational machines are not syntactically functional.
     """
-    fl = m.flavor
-    if fl == "relational":
-        return Classification(False, False, False, False, False, False)
-    if fl == "minsky":
-        no_zero = all(t.payload.op != "zero" for t in m.transitions)
-        no_dec = all(t.payload.op != "dec" for t in m.transitions)
-        return Classification(
-            is_vass=no_zero,
-            is_avass=no_zero,
-            is_positive_avass=no_zero,
-            is_totally_positive_avass=no_zero and no_dec,
-            is_minsky=True,
-            is_functional_syntactically=True,
-        )
-    identity = tuple(
-        tuple(1 if i == j else 0 for j in range(m.dimension))
-        for i in range(m.dimension)
-    )
-    is_vass = True
-    positive = True
-    totally = True
-    unit_offsets = True
+    is_avass = is_vass = positive = totally = unit_offsets = True
     for t in m.transitions:
-        mat, off = _matrix_of(t.payload, m.dimension)
-        if mat != identity:
-            is_vass = False
-        if any(e < 0 for row in mat for e in row):
-            positive = False
-        if any(b < 0 for b in off):
-            totally = False
-        if sum(abs(b) for b in off) > 1:
-            unit_offsets = False
+        rows = affine_rows(t.payload, m.dimension)
+        if rows is None:
+            is_avass = is_vass = positive = totally = False
+            break
+        for i, (terms, b) in enumerate(rows):
+            is_vass = is_vass and terms == ((i, 1),)
+            positive = positive and all(k >= 0 for _, k in terms)
+            totally = totally and b >= 0
+        unit_offsets = unit_offsets and sum(abs(b) for _, b in rows) <= 1
     return Classification(
         is_vass=is_vass,
-        is_avass=True,
+        is_avass=is_avass,
         is_positive_avass=positive,
         is_totally_positive_avass=positive and totally,
-        is_minsky=is_vass and unit_offsets,
-        is_functional_syntactically=True,
+        is_minsky=m.flavor == "minsky" or (is_vass and unit_offsets),
+        is_functional_syntactically=m.flavor != "relational",
     )
 
 
@@ -379,18 +374,13 @@ def domain_clause(p: AffineMap1) -> Clause:
     return dom
 
 
-def effective_domain(p: AffineMap1) -> SemilinearSet:
-    """:func:`domain_clause` as a set: empty, or that one clause."""
-    return semilinear([domain_clause(p)])
-
-
 def negative_transitions(m: Machine) -> list[Transition]:
     """Transitions of a 1-dim affine machine with a < 0 and a nonempty domain."""
     if m.flavor != "affine1":
         raise FlavorError("negative-transition analysis is for 1-dim affine machines")
     out = []
     for t in m.transitions:
-        if t.payload.a < 0 and not effective_domain(t.payload).is_empty:
+        if t.payload.a < 0 and not domain_clause(t.payload).is_empty:
             out.append(t)
     return out
 

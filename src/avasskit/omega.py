@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import FlavorError, GuardedMachineError
-from .machine import AffineMap1, Configuration, Machine, Payload, _matrix_of, classify
+from .machine import AffineMap1, Configuration, Machine, Payload, affine_rows, classify
 
 __all__ = [
     "OMEGA",
@@ -77,18 +77,17 @@ def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
     entries are refused.
     """
     _refuse_guard(p)
-    view = _matrix_of(p, len(v.entries))
-    if view is None:
+    entries = v.entries
+    rows = affine_rows(p, len(entries))
+    if rows is None:
         raise FlavorError(f"no totally positive matrix form for payload {p!r}")
-    matrix, offset = view
-    if any(k < 0 for row in matrix for k in row) or any(b < 0 for b in offset):
+    if any(b < 0 or any(k < 0 for _, k in terms) for terms, b in rows):
         raise FlavorError("abstract stepping needs a nonnegative matrix and offset")
     out = []
-    for row, off in zip(matrix, offset):
+    for terms, off in rows:
         total: int | _OmegaType = off
-        for k, x in zip(row, v.entries):
-            if k == 0:
-                continue
+        for i, k in terms:
+            x = entries[i]
             if x is OMEGA:
                 total = OMEGA
                 break

@@ -5,7 +5,8 @@ counter values from which a target configuration is reachable.  The fixpoint
 sweeps two exact operations until nothing changes:
 
 * :func:`pre_transition` — the preimage of a semilinear set under one
-  transition's affine update, limited to the transition's domain
+  transition's affine update: each clause pulls back to one clause, which is
+  cut to the transition's domain clause
   (:func:`~avasskit.machine.domain_clause`: where the result is a natural and
   the guard holds);
 * :func:`pre_cycle_star` — the predecessors through *any positive number* of
@@ -48,7 +49,6 @@ from .machine import (
     Machine,
     UpwardTarget,
     domain_clause,
-    effective_domain,
 )
 from .semiset import (
     EMPTY,
@@ -99,10 +99,9 @@ def _affine_preimage_clause(alpha: int, beta: int, c: Clause) -> Clause:
 
 def pre_transition(p: AffineMap1, s: SemilinearSet) -> SemilinearSet:
     """Exact one-step preimage: {n in the payload's domain : a*n + b in s}."""
-    if p.a == 0:
-        return effective_domain(p) if s.member(p.b) else EMPTY
-    pre = semilinear(_affine_preimage_clause(p.a, p.b, c) for c in s.clauses)
-    return pre.intersect(effective_domain(p))
+    dom = domain_clause(p)
+    return semilinear(intersect_clauses(_affine_preimage_clause(p.a, p.b, c), dom)
+                      for c in s.clauses)
 
 
 # --------------------------------------------------------------------------

@@ -57,17 +57,20 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import ArityError, BudgetExceededError, FlavorError, MachineError
 from .machine import (
-    AffineMapD,
+    AffineMap1,
     Configuration,
     Machine,
     MinskyOp,
     Transition,
     UpwardTarget,
+    affine_rows,
+    affine_terms,
     apply_payload,
     domain_clause,
     relational_variables,
+    render_configuration,
 )
-from .presburger import TRUE, Comparison, LinearTerm, conj, disj, evaluate, exists_solution, var
+from .presburger import TRUE, Comparison, conj, disj, evaluate, exists_solution, var
 from .semiset import Clause, intersect_clauses
 
 
@@ -106,6 +109,11 @@ class ConfigurationSet(Set):
         for state, got in self._counters.items():
             for counters in got:
                 yield Configuration(state, counters)
+
+    def rendered(self) -> list[str]:
+        """The sorted text forms of the members, built without the members."""
+        return sorted(render_configuration(state, counters)
+                      for state, got in self._counters.items() for counters in got)
 
     _from_iterable = frozenset
     __hash__ = Set._hash
@@ -215,27 +223,25 @@ def _relational_kernels(t: Transition, max_value: int) -> tuple[Callable, Callab
 def _forward_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
     """Kernel of the successors along t, above the window too."""
     p = t.payload
-    if isinstance(p, AffineMapD):
-        rows = tuple((tuple((i, a) for i, a in enumerate(row) if a), b)
-                     for row, b in zip(p.matrix, p.offset))
-
-        def matrix(counters):
-            out = []
-            for terms, v in rows:
-                for i, a in terms:
-                    v += a * counters[i]
-                if v < 0:
-                    return ()
-                out.append(v)
-            return (tuple(out),)
-        return matrix
     if m.flavor == "relational":
         return _relational_kernels(t, max_value)[1]
+    rows = affine_rows(p, m.dimension)
+    if rows is None or isinstance(p, AffineMap1) and p.guard is not None:
+        def op(counters):
+            got = apply_payload(p, counters)
+            return () if got is None else (got,)
+        return op
 
-    def op(counters):
-        got = apply_payload(p, counters)
-        return () if got is None else (got,)
-    return op
+    def matrix(counters):
+        out = []
+        for terms, v in rows:
+            for i, a in terms:
+                v += a * counters[i]
+            if v < 0:
+                return ()
+            out.append(v)
+        return (tuple(out),)
+    return matrix
 
 
 def _window_kernel(m: Machine, t: Transition, max_value: int) -> Callable:
@@ -277,9 +283,9 @@ def _backward_kernel(t: Transition, max_value: int) -> Callable:
         if p.op == "dec":
             return lambda vs: (vs[:i] + (vs[i] + 1,) + vs[i + 1:],)
         return lambda vs: (vs,) if vs[i] == 0 else ()
-    a, b, guard = p.a, p.b, p.guard
+    a, b = p.a, p.b
+    dom = domain_clause(p)
     if a == 0:
-        dom = domain_clause(p)
         beyond = intersect_clauses(dom, Clause(max_value + 1))
 
         def constant(counters):
@@ -291,7 +297,7 @@ def _backward_kernel(t: Transition, max_value: int) -> Callable:
 
     def scalar(counters):
         n, rest = divmod(counters[0] - b, a)
-        if rest or n < 0 or guard is not None and not guard.member(n):
+        if rest or not dom.member(n):
             return ()
         return ((n,),)
     return scalar
@@ -300,12 +306,11 @@ def _backward_kernel(t: Transition, max_value: int) -> Callable:
 def _enters_window(m: Machine, t: Transition, max_value: int) -> bool:
     """Can t map a configuration above the window into it?  Yes if the solver cannot tell."""
     xs, ys = relational_variables(m.dimension)
-    p = t.payload
-    if isinstance(p, AffineMapD):
-        succ = [LinearTerm.build(dict(zip(xs, row)), b) for row, b in zip(p.matrix, p.offset)]
-        rel = TRUE
+    rows = affine_rows(t.payload, m.dimension)
+    if rows is not None:
+        succ, rel = affine_terms(rows), TRUE
     else:
-        succ, rel = [var(y) for y in ys], p.formula
+        succ, rel = [var(y) for y in ys], t.payload.formula
     f = conj(rel, *(Comparison(y, ">=") for y in succ),
              *(Comparison(y.shifted(-max_value), "<=") for y in succ),
              disj(*(Comparison(var(x).shifted(-max_value - 1), ">=") for x in xs)))

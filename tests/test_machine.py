@@ -10,6 +10,7 @@ from avasskit.errors import FlavorError, MachineError
 from avasskit.machine import (
     AffineMap1,
     AffineMapD,
+    Classification,
     Configuration,
     Machine,
     MinskyOp,
@@ -19,7 +20,6 @@ from avasskit.machine import (
     apply_payload,
     classify,
     domain_clause,
-    effective_domain,
     negative_transitions,
 )
 from avasskit.presburger import Comparison, var
@@ -224,17 +224,88 @@ def test_classify_zero_test_gadget_matrix():
     assert c.is_avass and not c.is_vass and not c.is_positive_avass
 
 
+def _classify_reference(m: Machine):
+    """Classification by dense matrices: an identity comparison per matrix and
+    a separate rule for the counter-op flavor, written out by hand."""
+    fl = m.flavor
+    if fl == "relational":
+        return Classification(False, False, False, False, False, False)
+    if fl == "minsky":
+        no_zero = all(t.payload.op != "zero" for t in m.transitions)
+        no_dec = all(t.payload.op != "dec" for t in m.transitions)
+        return Classification(no_zero, no_zero, no_zero, no_zero and no_dec, True, True)
+    d = m.dimension
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    is_vass = positive = totally = unit = True
+    for t in m.transitions:
+        p = t.payload
+        mat, off = (((p.a,),), (p.b,)) if isinstance(p, AffineMap1) else (p.matrix, p.offset)
+        is_vass = is_vass and mat == identity
+        positive = positive and all(e >= 0 for row in mat for e in row)
+        totally = totally and all(b >= 0 for b in off)
+        unit = unit and sum(abs(b) for b in off) <= 1
+    return Classification(is_vass, True, positive, positive and totally,
+                          is_vass and unit, True)
+
+
+def _random_machine(rng: random.Random, flavor: str, d: int) -> Machine:
+    states = ("a", "b", "c")[:rng.randint(1, 3)]
+
+    def payload():
+        if flavor == "affine1":
+            guard = rng.choice([None, Clause(rng.randint(0, 5), None, rng.randint(1, 3))])
+            return AffineMap1(rng.choice([1, 1, rng.randint(-3, 3)]), rng.randint(-2, 2), guard)
+        if flavor == "affined":
+            if rng.random() < 0.4:  # the identity, or a near miss of it
+                mat = [[int(i == j) for j in range(d)] for i in range(d)]
+                if rng.random() < 0.3:
+                    mat[rng.randrange(d)][rng.randrange(d)] = rng.randint(-1, 2)
+            else:
+                mat = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            off = [rng.choice([0, 0, 1, -1, rng.randint(-3, 3)]) for _ in range(d)]
+            return AffineMapD(tuple(map(tuple, mat)), tuple(off))
+        if flavor == "minsky":
+            return MinskyOp(rng.choice(["inc", "inc", "dec", "zero"]), rng.randint(1, d))
+        return RelationalUpdate(Comparison(var("x'").minus(var("x")), ">="))
+
+    transitions = tuple(Transition(rng.choice(states), rng.choice(states), payload())
+                        for _ in range(rng.randint(0, 4)))
+    return Machine("r", d, states, transitions)
+
+
+def test_classify_matches_dense_matrix_reference():
+    from avasskit.generators import (PCPInstance, build_n1, build_n2, build_pcp_machine,
+                                     builtin_examples)
+    rng = random.Random(1103)
+    machines = [Machine("e", d, ("a",), ()) for d in (1, 2)]
+    machines += builtin_examples()
+    for _ in range(400):
+        flavor = rng.choice(["affine1", "affined", "minsky", "relational"])
+        d = 1 if flavor in ("affine1", "relational") else rng.randint(1, 3)
+        machines.append(_random_machine(rng, flavor, d))
+    two_counter = Machine("mm", 2, ("s0", "s1"), (
+        Transition("s0", "s1", MinskyOp("inc", 1)),
+        Transition("s1", "s0", MinskyOp("dec", 2)),
+        Transition("s0", "s1", MinskyOp("zero", 1)),
+    ), initial="s0")
+    machines += [build_n1(two_counter, "s1"), build_n2(two_counter, "s1"),
+                 build_pcp_machine(PCPInstance((("1", "101"), ("10", "00"))))]
+    flavors = {m.flavor for m in machines}
+    assert flavors == {"affine1", "affined", "minsky", "relational"}
+    for m in machines:
+        assert classify(m) == _classify_reference(m), m
+
+
 # --- domains and negative transitions ---------------------------------------
 
-def test_effective_domain_cases():
-    assert effective_domain(AffineMap1(-1, -5)).is_empty
-    assert effective_domain(AffineMap1(-1, 19)).equal(
-        __import__("avasskit.semiset", fromlist=["interval"]).interval(0, 19))
-    assert effective_domain(AffineMap1(0, 3)).is_full()
-    assert effective_domain(AffineMap1(0, -3)).is_empty
-    dom = effective_domain(AffineMap1(1, -13))
+def test_domain_clause_cases():
+    assert domain_clause(AffineMap1(-1, -5)).is_empty
+    assert domain_clause(AffineMap1(-1, 19)) == Clause(0, 19)
+    assert domain_clause(AffineMap1(0, 3)) == Clause(0, None)
+    assert domain_clause(AffineMap1(0, -3)).is_empty
+    dom = domain_clause(AffineMap1(1, -13))
     assert not dom.member(12) and dom.member(13)
-    dom2 = effective_domain(AffineMap1(2, -13))
+    dom2 = domain_clause(AffineMap1(2, -13))
     assert not dom2.member(6) and dom2.member(7)
 
 
@@ -248,17 +319,16 @@ def test_domain_matches_apply_payload_randomized():
             modulus = rng.randint(1, 6)
             guard = Clause(lo, hi, modulus, rng.randrange(modulus))
         p = AffineMap1(rng.randint(-3, 3), rng.randint(-20, 20), guard)
-        dom, clause = effective_domain(p), domain_clause(p)
+        clause = domain_clause(p)
         for n in range(201):
-            defined = apply_payload(p, (n,)) is not None
-            assert dom.member(n) == clause.member(n) == defined, (p, n)
+            assert clause.member(n) == (apply_payload(p, (n,)) is not None), (p, n)
 
 
-def test_effective_domain_with_guard():
+def test_domain_clause_with_guard():
     g = Clause(0, None, 3, 1)
-    dom = effective_domain(AffineMap1(-2, 10, g))
+    dom = domain_clause(AffineMap1(-2, 10, g))
     # base domain [0..5], guard residue 1 mod 3 -> {1, 4}
-    assert dom.values(100) == [1, 4]
+    assert list(dom.values(100)) == [1, 4]
 
 
 def test_negative_transitions_m1():

@@ -160,6 +160,32 @@ def test_pre_transition_random_against_oracle():
             f"pre mismatch for a={a} b={b} guard={guard} s={s.render()}"
 
 
+def test_pre_transition_matches_set_intersection_form():
+    # the same clause tuple as pulling every clause back, then intersecting
+    # with the domain as a set; for a = 0 as well, which needs no own branch
+    rng = random.Random(4117)
+    for _ in range(1500):
+        guard = None
+        if rng.random() < 0.5:
+            m = rng.choice([1, 2, 3, 4])
+            guard = Clause(rng.randint(0, 10), rng.choice([None, rng.randint(5, 40)]),
+                           m, rng.randrange(m))
+        p = AffineMap1(rng.randint(-3, 3), rng.randint(-15, 15), guard)
+        clauses = []
+        for _ in range(rng.randint(0, 4)):
+            m = rng.choice([1, 1, 2, 3, 5])
+            clauses.append(Clause(rng.randint(0, 40), rng.choice([None, rng.randint(0, 80)]),
+                                  m, rng.randrange(m)))
+        s = semilinear(clauses)
+        if rng.random() < 0.5:
+            s = s.normalized()
+        pre = semilinear(_affine_preimage_clause(p.a, p.b, c) for c in s.clauses)
+        want = pre.intersect(semilinear([domain_clause(p)]))
+        assert pre_transition(p, s) == want, (p, s)
+        if p.a == 0:
+            assert want == (semilinear([domain_clause(p)]) if s.member(p.b) else EMPTY)
+
+
 # --- cycle enumeration -------------------------------------------------------
 
 def test_m1_has_four_cycle_entries_in_declaration_order():

@@ -17,6 +17,7 @@ from avasskit.machine import (
     RelationalUpdate,
     Transition,
     UpwardTarget,
+    affine_rows,
     apply,
     apply_payload,
 )
@@ -565,7 +566,13 @@ def test_forward_kernels_agree_with_apply_payload():
             payload = MinskyOp(rng.choice(["inc", "dec", "zero"]), rng.randint(1, d))
         t = Transition("a", "a", payload)
         kernel = simulator._forward_kernel(Machine("k", d, ("a",), (t,)), t, 10)
+        rows = affine_rows(payload, d)
+        assert (rows is None) == (kind == "op" and payload.op == "zero")
+        unguarded = rows is not None and getattr(payload, "guard", None) is None
         for _ in range(20):
             vs = tuple(rng.choice([0, 0, 1, rng.randint(0, 20)]) for _ in range(d))
             got = apply_payload(payload, vs)
             assert tuple(kernel(vs)) == (() if got is None else (got,)), (payload, vs)
+            if unguarded:
+                by_rows = tuple(b + sum(k * vs[i] for i, k in terms) for terms, b in rows)
+                assert (None if min(by_rows) < 0 else by_rows) == got, (payload, vs)
