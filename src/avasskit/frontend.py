@@ -606,10 +606,7 @@ def render_state_sets(states: tuple[str, ...], sets: dict[str, SemilinearSet]) -
 def machine_to_json_obj(m: Machine) -> dict:
     def payload_obj(p):
         if isinstance(p, AffineMap1):
-            g = None
-            if p.guard is not None:
-                c = p.guard
-                g = {"lo": c.lo, "hi": c.hi, "mod": c.modulus, "res": c.residue}
+            g = None if p.guard is None else p.guard.to_json_obj()
             return {"kind": "affine1", "a": p.a, "b": p.b, "guard": g}
         if isinstance(p, AffineMapD):
             return {"kind": "affined",

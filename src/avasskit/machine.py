@@ -165,6 +165,16 @@ _FLAVOR_BY_TYPE = {
 }
 
 
+def check_payload(p: Payload, dimension: int) -> None:
+    """Raise :class:`MachineError` unless p acts on ``dimension`` counters."""
+    if isinstance(p, AffineMap1) and dimension != 1:
+        raise MachineError(f"scalar affine payload on {dimension} counters")
+    if isinstance(p, AffineMapD) and len(p.offset) != dimension:
+        raise MachineError(f"payload dimension {len(p.offset)} on {dimension} counters")
+    if isinstance(p, MinskyOp) and p.counter > dimension:
+        raise MachineError(f"op touches counter {p.counter} of {dimension}")
+
+
 @dataclass(frozen=True)
 class Machine:
     name: str
@@ -187,20 +197,10 @@ class Machine:
                 raise MachineError(
                     f"transition {t.source} -> {t.target} uses undeclared states")
             flavors.add(_FLAVOR_BY_TYPE[type(t.payload)])
-            self._check_payload(t.payload)
+            check_payload(t.payload, self.dimension)
         if len(flavors) > 1:
             raise MachineError(
                 f"one machine must keep to one flavor, found {sorted(flavors)}")
-
-    def _check_payload(self, p: Payload) -> None:
-        if isinstance(p, AffineMap1) and self.dimension != 1:
-            raise MachineError("scalar affine payload on a multi-counter machine")
-        if isinstance(p, AffineMapD) and len(p.offset) != self.dimension:
-            raise MachineError(
-                f"payload dimension {len(p.offset)} != machine dimension {self.dimension}")
-        if isinstance(p, MinskyOp) and p.counter > self.dimension:
-            raise MachineError(
-                f"op touches counter {p.counter} but machine has {self.dimension}")
 
     @property
     def flavor(self) -> str:

@@ -3,17 +3,22 @@
 Counters are tracked exactly up to a cutoff and collapsed to the single
 symbol ω past it.  When every matrix entry and offset is nonnegative,
 updates commute with that collapse -- a large value stays large -- so a
-breadth-first search over the finite abstract space answers concrete
-reachability exactly for targets whose components all fit under the cutoff.
+search over the finite abstract space answers concrete reachability exactly
+for targets whose components all fit under the cutoff.  Inside, ω is the
+number ``cutoff + 1``, the abstract step is the concrete step capped there,
+and the simulator's breadth-first search runs it; :data:`OMEGA`,
+:class:`OmegaVector` and :func:`abstract` are that encoding's public face.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import FlavorError, GuardedMachineError
-from .machine import AffineMap1, Configuration, Machine, Payload, affine_rows, classify
+from .machine import (AffineMap1, Configuration, Machine, Payload, Rows, affine_rows,
+                      check_payload, classify)
+from .simulator import Budget, _goal, _search
 
 __all__ = [
     "OMEGA",
@@ -68,34 +73,40 @@ def _refuse_guard(p: Payload) -> None:
             "the cutoff abstraction reads bare updates; guards have no ω semantics")
 
 
-def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
-    """One abstract step: each matrix row summed under the ω rules.
+def _capped_step(rows: Rows, cap: int) -> Callable:
+    """Kernel of the concrete step along nonnegative ``rows``, each result capped
+    at ``cap``: with ω held as ``cap = cutoff + 1``, the abstract step.
 
-    Zero times ω is zero, anything positive times ω is ω, ω plus anything
-    is ω, and a finite sum past the cutoff collapses to ω.  Sound only for
-    nonnegative rows, where no later term can shrink the sum; negative
-    entries are refused.
+    A nonnegative row sums to at least ``cap`` exactly when a positive
+    coefficient meets ω or the finite sum passes the cutoff, and zero times ω
+    adds nothing, so the cap is the ω rules.
+    """
+    def step(counters):
+        out = []
+        for terms, v in rows:
+            for i, k in terms:
+                v += k * counters[i]
+            out.append(v if v < cap else cap)
+        return (tuple(out),)
+    return step
+
+
+def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
+    """One abstract step: the capped concrete step, ω read and written as ``cutoff + 1``.
+
+    Rows with a negative entry could shrink a capped sum and are refused.
     """
     _refuse_guard(p)
-    entries = v.entries
-    rows = affine_rows(p, len(entries))
+    dim = len(v.entries)
+    check_payload(p, dim)
+    rows = affine_rows(p, dim)
     if rows is None:
         raise FlavorError(f"no totally positive matrix form for payload {p!r}")
     if any(b < 0 or any(k < 0 for _, k in terms) for terms, b in rows):
         raise FlavorError("abstract stepping needs a nonnegative matrix and offset")
-    out = []
-    for terms, off in rows:
-        total: int | _OmegaType = off
-        for i, k in terms:
-            x = entries[i]
-            if x is OMEGA:
-                total = OMEGA
-                break
-            total += k * x
-        if total is not OMEGA and total > v.cutoff:
-            total = OMEGA
-        out.append(total)
-    return OmegaVector(tuple(out), v.cutoff)
+    cap = v.cutoff + 1
+    (got,) = _capped_step(rows, cap)(tuple(cap if e is OMEGA else e for e in v.entries))
+    return OmegaVector(tuple(OMEGA if e == cap else e for e in got), v.cutoff)
 
 
 def reachable_totally_positive(m: Machine, source: Configuration,
@@ -104,9 +115,10 @@ def reachable_totally_positive(m: Machine, source: Configuration,
 
     The cutoff is the largest target component (at least 1), so the target
     is its own abstraction.  Updates commute with the collapse, hence the
-    abstract system reaches the target's image from the source's image iff
-    the concrete system reaches the target -- and the abstract space
-    Q x {0..cutoff, ω}^d is finite, so plain breadth-first search settles it.
+    abstract system reaches the target from the source's image iff the
+    concrete system does.  The abstract space Q x {0..cutoff+1}^d is finite,
+    and the simulator's breadth-first search runs over it with a budget that
+    holds all of it, so the search is never cut.
     """
     if not classify(m).is_totally_positive_avass:
         raise FlavorError(
@@ -116,19 +128,10 @@ def reachable_totally_positive(m: Machine, source: Configuration,
         _refuse_guard(t.payload)
     m.check_configuration(source)
     m.check_configuration(target)
-    cutoff = max(max(target.counters), 1)
-    goal = (target.state, abstract(target.counters, cutoff).entries)
-    start = (source.state, abstract(source.counters, cutoff).entries)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        state, entries = frontier.popleft()
-        if (state, entries) == goal:
-            return True
-        vec = OmegaVector(entries, cutoff)
-        for t in m.transitions_from(state):
-            nxt = (t.target, apply_abstract(t.payload, vec).entries)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+    cap = max(max(target.counters), 1) + 1
+    table = {q: tuple((t.target, _capped_step(affine_rows(t.payload, m.dimension), cap))
+                      for t in m.transitions_from(q))
+             for q in m.states}
+    start = Configuration(source.state, tuple(min(v, cap) for v in source.counters))
+    budget = Budget(cap, len(m.states) * (cap + 1) ** m.dimension)
+    return _search([start], table, budget, _goal(target))[1] is not None

@@ -125,6 +125,9 @@ class Clause:
         hi = "" if self.hi is None else str(self.hi)
         return f"[{self.lo}..{hi}] mod {self.modulus} = {self.residue}"
 
+    def to_json_obj(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "mod": self.modulus, "res": self.residue}
+
 
 EMPTY_CLAUSE = Clause(1, 0, 1, 0)
 
@@ -258,10 +261,7 @@ class SemilinearSet:
         return " ∪ ".join(c.render() for c in self.clauses)
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"lo": c.lo, "hi": c.hi, "mod": c.modulus, "res": c.residue}
-            for c in self.clauses
-        ]
+        return [c.to_json_obj() for c in self.clauses]
 
 
 def semilinear(clauses: Iterable[Clause]) -> SemilinearSet:

@@ -5,8 +5,9 @@ soundness hedge but the point: within the explored region the results are
 exact, and ``truncated`` says whether the region's edge was hit.  The symbolic
 modules are tested by agreement with these explorations on their safe regions.
 
-:func:`post_star`, :func:`find_path` and :func:`pre_star_bounded` are one
-breadth-first search, :func:`_search`, over a table built once per call:
+:func:`post_star`, :func:`find_path`, :func:`pre_star_bounded` and
+``omega.reachable_totally_positive`` are one breadth-first search,
+:func:`_search`, over a table built once per call:
 ``table[state]`` holds ``(next_state, kernel)`` pairs, and ``kernel(counters)``
 gives the counter tuples that way out of the state leads to: none, one or
 many.  Forward tables have one entry per transition, in the order of
@@ -24,8 +25,9 @@ edge: the starts, the steps of a path, and iteration over ``configs``.
 The search owns the budget and the one cut rule: ``max_depth`` caps the number
 of steps from a start, ``max_configs`` the number of visited configurations,
 and a kernel result with a counter above ``max_value`` is a cut, never
-followed.  Any of the three sets ``truncated``.  Kernels give every result
-they find, above the window too, so that rule is the same for every step kind.
+followed; a start above ``max_value`` is cut the same way, never visited.  Any
+of the three sets ``truncated``.  Kernels give every result they find, above
+the window too, so that rule is the same for every step kind.
 
 * Forward, ``truncated`` means some configuration reachable from the start
   may have been missed: a successor above the window, or a budget hit.
@@ -135,10 +137,6 @@ class ExplorationResult:
         return out
 
 
-def _within(counters: tuple[int, ...], max_value: int) -> bool:
-    return max(counters) <= max_value
-
-
 Pair = tuple[str, tuple[int, ...]]
 
 
@@ -151,10 +149,16 @@ def _search(starts: Iterable[Configuration], table: dict, budget: Budget,
     every visited configuration in that state to the ``(state, counters)``
     pair it was first reached from (None for a start); found is the first
     visited pair that satisfies ``goal``, where the search stops, or None.
+    A start above the window is cut like a step.
     """
+    max_value, max_configs, max_depth = budget.max_value, budget.max_configs, budget.max_depth
     seen: dict[str, dict] = {q: {} for q in table}
     frontier = []
+    truncated = False
     for c in starts:
+        if max(c.counters) > max_value:
+            truncated = True
+            continue
         into = seen[c.state]
         if c.counters not in into:
             into[c.counters] = None
@@ -162,12 +166,10 @@ def _search(starts: Iterable[Configuration], table: dict, budget: Budget,
     if goal is not None:
         for pair in frontier:
             if goal(pair):
-                return seen, pair, False
+                return seen, pair, truncated
     rows = {q: tuple((seen[p], p, kernel) for p, kernel in entries)
             for q, entries in table.items()}
-    max_value, max_configs, max_depth = budget.max_value, budget.max_configs, budget.max_depth
     visited = len(frontier)
-    truncated = False
     depth = 0
     while frontier:
         if max_depth is not None and depth >= max_depth:
@@ -267,8 +269,6 @@ def post_star(m: Machine, start: Configuration,
     """All configurations reachable from start with every counter <= max_value."""
     m.check_configuration(start)
     _check_flavor(m)
-    if not _within(start.counters, budget.max_value):
-        return _result({}, True)
     seen, _, truncated = _search([start], _forward_table(m, budget.max_value), budget)
     return _result(seen, truncated)
 
@@ -347,12 +347,10 @@ def _window_table(m: Machine, budget: Budget) -> tuple[dict, bool]:
     return table, any(_enters_window(m, t, max_value) for t in m.transitions)
 
 
-def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuration], bool]:
+def _seed_configs(m: Machine, target, budget: Budget) -> list[Configuration]:
     if isinstance(target, Configuration):
         m.check_configuration(target)
-        if not _within(target.counters, budget.max_value):
-            return [], True
-        return [target], False
+        return [target]
     cfg = target.config
     m.check_configuration(cfg)
     seeds = []
@@ -365,7 +363,7 @@ def _seed_configs(m: Machine, target, budget: Budget) -> tuple[list[Configuratio
             f"upward seed region has {total} configurations, budget {budget.max_configs}")
     for vs in itertools.product(*ranges):
         seeds.append(Configuration(cfg.state, vs))
-    return seeds, False
+    return seeds
 
 
 def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
@@ -377,16 +375,16 @@ def pre_star_bounded(m: Machine, target: Configuration | UpwardTarget,
     whole window, budget permitting.
     """
     _check_flavor(m)
-    seeds, truncated = _seed_configs(m, target, budget)
+    seeds = _seed_configs(m, target, budget)
+    window_cut = False
     if m.flavor in ("affine1", "minsky"):
         table = {q: tuple((t.source, _backward_kernel(t, budget.max_value))
                           for t in m.transitions_to(q))
                  for q in m.states}
     else:
         table, window_cut = _window_table(m, budget)
-        truncated = truncated or window_cut
-    seen, _, clipped = _search(seeds, table, budget)
-    return _result(seen, truncated or clipped)
+    seen, _, truncated = _search(seeds, table, budget)
+    return _result(seen, truncated or window_cut)
 
 
 def _goal(target: Configuration | UpwardTarget) -> Callable[[Pair], bool]:
@@ -407,8 +405,6 @@ def find_path(m: Machine, start: Configuration,
     """
     m.check_configuration(start)
     _check_flavor(m)
-    if not _within(start.counters, budget.max_value):
-        return None, True
     seen, found, truncated = _search([start], _forward_table(m, budget.max_value), budget,
                                      _goal(target))
     if found is None:

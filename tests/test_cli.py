@@ -69,6 +69,29 @@ def test_parse_json_shape(capsys, m1_file):
     assert len(obj["transitions"]) == 4
 
 
+def test_parse_json_bytes_of_a_guarded_machine(capsys, tmp_path):
+    # a guard is written as its clause's JSON form, the one set results use
+    path = tmp_path / "g.cm"
+    path.write_text("machine g\ndim 1\nstate a init\nstate b\n"
+                    "trans a -> b : x' = 1x + 1 ; guard [0..19] mod 2 = 1\n"
+                    "trans b -> a : x' = 2x + 0 ; guard [5..]\n"
+                    "trans b -> b : x' = 0x + 3\n")
+    code, out, _ = run(capsys, "parse", str(path), "--json")
+    assert code == 0
+    payload = lambda a, b, guard: {"a": a, "b": b, "guard": guard, "kind": "affine1"}
+    expected = {
+        "dimension": 1, "initial": "a", "name": "g", "states": ["a", "b"],
+        "transitions": [
+            {"payload": payload(1, 1, {"hi": 19, "lo": 1, "mod": 2, "res": 1}),
+             "source": "a", "target": "b"},
+            {"payload": payload(2, 0, {"hi": None, "lo": 5, "mod": 1, "res": 0}),
+             "source": "b", "target": "a"},
+            {"payload": payload(0, 3, None), "source": "b", "target": "b"},
+        ],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_parse_error_exits_3_with_location(capsys, tmp_path):
     path = tmp_path / "bad.cm"
     path.write_text("machine broken\ndim 1\nstate q init\ntrans q -> nowhere : x' = 1x + 0\n")

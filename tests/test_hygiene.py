@@ -1,10 +1,11 @@
 """Source hygiene: every name a package module imports is used there or
-exported, every private def is used, and every name the benchmark's tracer
-wraps exists."""
+exported, every exported name exists, every private def is used, and every
+name the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,19 @@ def test_every_import_is_used_or_exported():
         if names:
             unused[path.name] = sorted(names)
     assert unused == {}
+
+
+def test_every_exported_name_exists():
+    # a name listed in __all__ that the module no longer defines breaks
+    # ``from avasskit.<module> import *`` and every caller of that name
+    missing = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "avasskit" if path.stem == "__init__" else f"avasskit.{path.stem}"
+        module = importlib.import_module(name)
+        names = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if names:
+            missing[path.name] = names
+    assert missing == {}
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

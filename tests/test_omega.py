@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from avasskit.errors import FlavorError, GuardedMachineError
+from avasskit.errors import FlavorError, GuardedMachineError, MachineError
 from avasskit.machine import (
     AffineMap1,
     AffineMapD,
@@ -81,6 +81,19 @@ def test_apply_abstract_rejects_negative_entries():
         apply_abstract(AffineMapD(((-1, 0), (0, 1)), (0, 0)), v)
     with pytest.raises(FlavorError):
         apply_abstract(AffineMapD(((1, 0), (0, 1)), (0, -1)), v)
+
+
+def test_apply_abstract_rejects_a_vector_of_the_wrong_length():
+    square = AffineMapD(((2, 0), (0, 1)), (1, 1))
+    with pytest.raises(MachineError):
+        apply_abstract(square, abstract((2, 1, 3), 3))
+    with pytest.raises(MachineError):
+        apply_abstract(square, abstract((2,), 3))
+    with pytest.raises(MachineError):
+        apply_abstract(AffineMap1(1, 1), abstract((0, 0), 1))
+    with pytest.raises(MachineError):
+        apply_abstract(MinskyOp("inc", 3), abstract((0, 0), 1))
+    assert apply_abstract(MinskyOp("inc", 2), abstract((0, 0), 1)).entries == (0, 1)
 
 
 def test_commutation_with_concrete_steps():
@@ -191,6 +204,41 @@ def random_totally_positive_machine(rng: random.Random) -> Machine:
     return Machine("tp", dim, states, tuple(trans), initial=states[0])
 
 
+def random_payload_machine(rng: random.Random) -> Machine:
+    """Totally positive machines of the other payload kinds: counter increments
+    on 1-2 counters, which keeps the concrete search's windows small, or
+    scalar maps x' = ax + b with a, b >= 0."""
+    scalar = rng.random() < 0.5
+    dim = 1 if scalar else rng.randint(1, 2)
+    states = tuple(f"w{i}" for i in range(rng.randint(1, 3)))
+    trans = []
+    for _ in range(rng.randint(1, 4)):
+        p = (AffineMap1(rng.randint(0, 3), rng.randint(0, 3)) if scalar
+             else MinskyOp("inc", rng.randint(1, dim)))
+        trans.append(Transition(rng.choice(states), rng.choice(states), p))
+    return Machine("tp", dim, states, tuple(trans), initial=states[0])
+
+
+def assert_agrees_with_concrete_search(m: Machine, source: Configuration,
+                                       target: Configuration) -> None:
+    cutoff = max(max(target.counters), 1)
+    symbolic = reachable_totally_positive(m, source, target)
+
+    bound = 10 * (cutoff + 1)
+    for _ in range(3):
+        explored = post_star(m, source, Budget(max_value=bound, max_configs=60000))
+        concrete = target in explored.configs
+        if concrete or not explored.truncated:
+            break
+        bound *= 4  # symbolic said yes but the window was clipped: widen it
+    if concrete:
+        assert symbolic, (m, source, target)
+    elif not explored.truncated:
+        assert not symbolic, (m, source, target)
+    else:
+        assert not symbolic, (m, source, target, "unconfirmed yes after escalation")
+
+
 def test_agreement_with_bounded_concrete_search():
     rng = random.Random(4301)
     for _ in range(60):
@@ -199,19 +247,14 @@ def test_agreement_with_bounded_concrete_search():
             rng.choice(m.states), tuple(rng.randint(0, 4) for _ in range(m.dimension)))
         target = Configuration(
             rng.choice(m.states), tuple(rng.randint(0, 4) for _ in range(m.dimension)))
-        cutoff = max(max(target.counters), 1)
-        symbolic = reachable_totally_positive(m, source, target)
-
-        bound = 10 * (cutoff + 1)
-        for _ in range(3):
-            explored = post_star(m, source, Budget(max_value=bound, max_configs=60000))
-            concrete = target in explored.configs
-            if concrete or not explored.truncated:
-                break
-            bound *= 4  # symbolic said yes but the window was clipped: widen it
-        if concrete:
-            assert symbolic, (m, source, target)
-        elif not explored.truncated:
-            assert not symbolic, (m, source, target)
-        else:
-            assert not symbolic, (m, source, target, "unconfirmed yes after escalation")
+        assert_agrees_with_concrete_search(m, source, target)
+    # counter increments, scalar maps, and all-zero targets (cutoff 1)
+    rng = random.Random(4302)
+    for k in range(60):
+        m = random_payload_machine(rng)
+        source = Configuration(
+            rng.choice(m.states), tuple(rng.randint(0, 2) for _ in range(m.dimension)))
+        target = Configuration(
+            rng.choice(m.states),
+            tuple(0 if k % 3 == 0 else rng.randint(0, 4) for _ in range(m.dimension)))
+        assert_agrees_with_concrete_search(m, source, target)

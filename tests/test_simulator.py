@@ -142,6 +142,14 @@ def test_post_star_from_outside_the_window_gives_an_empty_set():
     assert type(got.configs) is type(inside.configs)
     assert got.truncated and len(got.configs) == 0 and got.configs == frozenset()
     assert hash(got.configs) == hash(frozenset())
+    # a start above the window is cut like a step: find_path finds nothing,
+    # not even the start itself, and says the search was cut
+    budget = Budget(max_value=100)
+    high = Configuration("q1", (101,))
+    assert find_path(m1(), high, Configuration("q1", (10,)), budget) == (None, True)
+    assert find_path(m1(), high, high, budget) == (None, True)
+    back = pre_star_bounded(m1(), high, budget)
+    assert back.truncated and len(back.configs) == 0
 
 
 # --- backward search ---------------------------------------------------------
