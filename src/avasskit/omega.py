@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FlavorError, GuardedMachineError
-from .machine import (AffineMap1, Configuration, Machine, Payload, Rows, affine_rows,
-                      check_payload, classify)
+from .machine import (AffineMap1, Configuration, Machine, Payload, Rows, Transition,
+                      affine_rows, check_payload)
 from .simulator import Budget, _goal, _search
 
 __all__ = [
@@ -91,19 +91,23 @@ def _capped_step(rows: Rows, cap: int) -> Callable:
     return step
 
 
-def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
-    """One abstract step: the capped concrete step, ω read and written as ``cutoff + 1``.
+def _nonnegative_rows(p: Payload, dim: int) -> Rows | None:
+    """The payload's :func:`affine_rows`, or None if it has none or a negative
+    coefficient or offset: rows that could shrink a capped sum."""
+    rows = affine_rows(p, dim)
+    if rows is None or any(b < 0 or any(k < 0 for _, k in terms) for terms, b in rows):
+        return None
+    return rows
 
-    Rows with a negative entry could shrink a capped sum and are refused.
-    """
+
+def apply_abstract(p: Payload, v: OmegaVector) -> OmegaVector:
+    """One abstract step: the capped concrete step, ω read and written as ``cutoff + 1``."""
     _refuse_guard(p)
     dim = len(v.entries)
     check_payload(p, dim)
-    rows = affine_rows(p, dim)
+    rows = _nonnegative_rows(p, dim)
     if rows is None:
         raise FlavorError(f"no totally positive matrix form for payload {p!r}")
-    if any(b < 0 or any(k < 0 for _, k in terms) for terms, b in rows):
-        raise FlavorError("abstract stepping needs a nonnegative matrix and offset")
     cap = v.cutoff + 1
     (got,) = _capped_step(rows, cap)(tuple(cap if e is OMEGA else e for e in v.entries))
     return OmegaVector(tuple(OMEGA if e == cap else e for e in got), v.cutoff)
@@ -120,18 +124,20 @@ def reachable_totally_positive(m: Machine, source: Configuration,
     and the simulator's breadth-first search runs over it with a budget that
     holds all of it, so the search is never cut.
     """
-    if not classify(m).is_totally_positive_avass:
-        raise FlavorError(
-            "this route needs a totally positive machine "
-            "(nonnegative matrices, nonnegative offsets, no zero tests)")
+    cap = max(max(target.counters), 1) + 1
+
+    def step(t: Transition) -> Callable:
+        rows = _nonnegative_rows(t.payload, m.dimension)
+        if rows is None:
+            raise FlavorError(
+                "this route needs a totally positive machine "
+                "(nonnegative matrices, nonnegative offsets, no zero tests)")
+        return _capped_step(rows, cap)
+    table = {q: tuple((t.target, step(t)) for t in m.transitions_from(q)) for q in m.states}
     for t in m.transitions:
         _refuse_guard(t.payload)
     m.check_configuration(source)
     m.check_configuration(target)
-    cap = max(max(target.counters), 1) + 1
-    table = {q: tuple((t.target, _capped_step(affine_rows(t.payload, m.dimension), cap))
-                      for t in m.transitions_from(q))
-             for q in m.states}
     start = Configuration(source.state, tuple(min(v, cap) for v in source.counters))
     budget = Budget(cap, len(m.states) * (cap + 1) ** m.dimension)
     return _search([start], table, budget, _goal(target))[1] is not None

@@ -14,9 +14,13 @@ sweeps two exact operations until nothing changes:
   ``n -> a*n + b`` and its entry guard decide the shape: finite guards are
   enumerated; translation cycles (a = 1) reduce to per-residue-class least/
   greatest witness elements; growth cycles (a >= 2) split into an explicitly
-  enumerated low region and residue-class tails with computable thresholds;
-  constant cycles (a = 0) collapse to a single membership test.  Both
-  enumerations walk each start's orbit in one loop, :func:`_orbit_hits`.
+  enumerated low region and one bounded walk per residue class above it,
+  with exact thresholds: measured from the fixed point the orbits there grow
+  as ``a^j``, so within logarithmically many turns they all pass the largest
+  clause bound of the set, where a hit covers the whole class and a residue
+  repeats within one period; constant cycles (a = 0) collapse to a single
+  membership test.  Both enumerations walk each start's orbit in one loop,
+  :func:`_orbit_hits`.
 
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print.
@@ -303,65 +307,38 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
     """Clauses over starting values u > low whose growth orbit reaches s.
 
     Values above ``low`` strictly increase and satisfy the guard's interval
-    part outright, so only residues matter: per starting class mod ``period``
-    the residue trajectory is eventually periodic.  Hits inside the periodic
-    part cover the whole class above ``low``; hits before the trajectory's
-    guard-residue validity breaks contribute threshold clauses with exact
-    cutoffs u >= ceil((clause.lo - c_j) / a^j).
+    part outright, so per starting class ``rho`` mod ``period`` one walk
+    tracks the orbit's residue ``x`` and the exact ``a^j`` and ``c_j`` (the
+    value after j turns is ``a^j*u + c_j``); a hit at turn j on a clause of s
+    gives the exact threshold clause ``ceil((lo - c_j)/a^j) <= u <=
+    (hi - c_j)//a^j``.  Two facts bound the walk.  (1) Measured from the
+    fixed point ``e = -b/(a-1)``, the orbit of ``low + 1`` grows as ``a^j``
+    (``low >= strict_from``), so after at most ``log_a(top - e) + 1`` turns
+    every start above ``low`` is past ``top``, the largest clause bound of s;
+    from there a hit covers the whole class above ``low``, and no bounded
+    clause can be hit.  (2) After that point a residue repeats within
+    ``period + 1`` turns, and no new hit can follow.  So a class stops when
+    its guard residue breaks, when the whole class is hit, or when a residue
+    seen past ``top`` repeats.
     """
-    gm, gr = g.modulus, g.residue
+    top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
     out: list[Clause] = []
-    finite_his = [c.hi for c in s.clauses if c.hi is not None]
-    step_cap = period + 80 + (max(finite_his) + 2).bit_length() if finite_his \
-        else period + 80
-
-    for rho in range(period):
-        if rho % gm != gr:
-            continue  # the very first turn is already forbidden
-        x = rho          # residue of the current orbit value mod `period`
-        pj, cj = 1, 0    # exact a^j and offset c_j: value after j turns is a^j*u + c_j
-        j = 0
-        seen = {x: 0}
-        loop_start: int | None = None
-        periodic = False
-        inf_hits: list[tuple[int, int, int, int]] = []  # (step, a^j, c_j, clause.lo)
-        alive = [c for c in s.clauses if c.hi is not None]
-        while True:
-            if x % gm != gr:
-                break  # current value is an invalid input; orbit ends here
+    for rho in range(g.residue, period, g.modulus):
+        whole = Clause(low + 1, None, period, rho)
+        x, pj, cj = rho, 1, 0
+        found: list[Clause] = []
+        later: set[int] = set()  # residues seen once every start is past `top`
+        while x % g.modulus == g.residue and whole not in found:
             x = (a * x + b) % period
             pj, cj = pj * a, a * cj + b
-            j += 1
-            if j > step_cap:
-                raise BudgetExceededError(
-                    "growth-cycle residue trajectory did not settle")
-            for cl in s.clauses:
-                if x % cl.modulus != cl.residue:
-                    continue
-                if cl.hi is None:
-                    if not periodic:
-                        inf_hits.append((j, pj, cj, cl.lo))
-                else:
-                    out.append(Clause(
-                        max(low + 1, _cdiv(cl.lo - cj, pj)),
-                        (cl.hi - cj) // pj, period, rho))
-            alive = [cl for cl in alive if pj * (low + 1) + cj <= cl.hi]
-            if loop_start is None:
-                if x in seen:
-                    # state recurrence: hits at steps >= seen[x] replay forever,
-                    # earlier ones never do (their states are off the loop)
-                    loop_start = seen[x]
-                    if any(h >= loop_start for h, _, _, _ in inf_hits):
-                        periodic = True
-                        out.append(Clause(low + 1, None, period, rho))
-                        inf_hits = []
-                else:
-                    seen[x] = j
-            if loop_start is not None and not alive:
-                break
-        for _, pj_h, cj_h, clause_lo in inf_hits:
-            out.append(Clause(
-                max(low + 1, _cdiv(clause_lo - cj_h, pj_h)), None, period, rho))
+            if pj * (low + 1) + cj > top:
+                if x in later:
+                    break
+                later.add(x)
+            found += [Clause(max(low + 1, _cdiv(c.lo - cj, pj)),
+                             None if c.hi is None else (c.hi - cj) // pj, period, rho)
+                      for c in s.clauses if x % c.modulus == c.residue]
+        out += [whole] if whole in found else found
     return out
 
 

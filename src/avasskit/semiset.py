@@ -284,13 +284,14 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
     values grouped into maximal progressions.  Equal sets have the same
     canonical masks, so they get the same clauses.
     """
+    finite = format(fmask, f"0{t}b")[::-1]  # finite[n] == "1" iff n < T is a member
     absorbed = 0
     tails = []
     for c in _set_bits(rmask):
-        s = t + ((c - t) % l)
-        while s - l >= 0 and fmask >> (s - l) & 1:
+        s = start = t + ((c - t) % l)
+        while s >= l and finite[s - l] == "1":
             s -= l
-            absorbed |= 1 << s
+        absorbed |= _prog_bits(s, start, l)
         tails.append(Clause(s, None, l, c))
     leftover = _set_bits(fmask & ~absorbed)
     runs = []

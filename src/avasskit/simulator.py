@@ -41,6 +41,8 @@ the window too, so that rule is the same for every step kind.
   window, one entry per source state, and there a transition that can map a
   configuration above the window into it sets ``truncated`` (decided by the
   solver, at most once per transition; unsure counts as yes).
+  The part of an upward target above the window is always cut, so
+  ``truncated`` is set for every upward target.
 
 Relational machines of dimension 1 have no successor function: the forward
 kernel scans the candidate values ``0..max_value``, then asks the solver
@@ -363,6 +365,9 @@ def _seed_configs(m: Machine, target, budget: Budget) -> list[Configuration]:
             f"upward seed region has {total} configurations, budget {budget.max_configs}")
     for vs in itertools.product(*ranges):
         seeds.append(Configuration(cfg.state, vs))
+    # one member above the window, which the search cuts
+    seeds.append(Configuration(cfg.state, tuple(max(v, budget.max_value + 1)
+                                                for v in cfg.counters)))
     return seeds
 
 

@@ -185,6 +185,13 @@ def test_flavor_gate_rejections():
     with pytest.raises(GuardedMachineError):
         reachable_totally_positive(guarded, Configuration("q", (0,)),
                                    Configuration("q", (1,)))
+    # a shrinking transition is refused as FlavorError even when another
+    # transition carries a guard, whichever comes first
+    shrinking = Transition("q", "q", AffineMap1(1, -1))
+    for ts in ((guarded.transitions[0], shrinking), (shrinking, guarded.transitions[0])):
+        with pytest.raises(FlavorError):
+            reachable_totally_positive(Machine("mixed", 1, ("q",), ts),
+                                       Configuration("q", (0,)), Configuration("q", (1,)))
     # apply_abstract is public and refuses on its own, not only behind the gate
     with pytest.raises(GuardedMachineError):
         apply_abstract(AffineMap1(1, 1, Clause(0, None, 2, 0)), abstract((0,), 1))

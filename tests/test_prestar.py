@@ -4,6 +4,7 @@ explorer."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from avasskit.machine import (
     domain_clause,
 )
 from avasskit.prestar import (
+    CLASS_MODULUS_CAP,
     SimpleCycle,
     _affine_preimage_clause,
     compute_pre_star,
@@ -425,6 +427,27 @@ def test_cycle_star_random_growth():
         a = rng.choice([2, 3])
         b = rng.randint(-15, 15)
         check_cycle_case(rng, a, b, random_guard(rng), random_set(rng))
+    # Wider draws: clause bounds up to 900 and moduli up to 12.  Every third
+    # draw checks past the largest clause bound, so the thresholds of hits
+    # made before the orbits pass it are checked too; a period past the
+    # class modulus cap must raise.
+    rng = random.Random(4107)
+    for i in range(300):
+        a = rng.randint(2, 5)
+        b = rng.randint(-40, 40)
+        guard = random_guard(rng)
+        clauses = []
+        for _ in range(rng.randint(1, 4)):
+            m, lo = rng.randint(1, 12), rng.randint(0, 200)
+            clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 900)]), m, rng.randrange(m)))
+        s = semilinear(clauses)
+        top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
+        if guard.hi is None and math.lcm(guard.modulus, *(c.modulus for c in s.clauses)) \
+                > CLASS_MODULUS_CAP:
+            with pytest.raises(BudgetExceededError):
+                pre_cycle_star(cycle(a, b, guard), s)
+            continue
+        check_cycle_case(rng, a, b, guard, s, top + rng.randint(1, 60) if i % 3 == 0 else 140)
 
 
 def test_cycle_star_random_finite_guards():

@@ -308,6 +308,10 @@ def test_compact_pulls_tail_starts_down():
     # 5 and 8 sit right below the unbounded clause on its own stride.
     s = semilinear([Clause(5, 5), Clause(8, 8), Clause(11, None, 3, 2)])
     assert as_specs(s.compact()) == [(5, None, 3, 2)]
+    # The odd numbers plus the one even value 80,000: the threshold is 80,001,
+    # and the odd tail pulls down over 40,000 finite values to 1.
+    s = semilinear([Clause(1, None, 2, 1), Clause(80_000, 80_000)])
+    assert as_specs(s.compact()) == [(1, None, 2, 1), (80_000, 80_000, 1, 0)]
 
 
 def test_compact_keeps_detached_finite_values():

@@ -284,6 +284,26 @@ def test_pre_star_bounded_window_truncated_by_transitions_into_it():
     assert pre_star_bounded(five, Configuration("a", (0,) * 5), Budget(max_value=1)).truncated
 
 
+def test_pre_star_bounded_upward_target_is_cut_above_the_window():
+    # p:0 steps to q:200, a member of ^q:50 above a window of 100: the 51
+    # window members of the target are not the whole answer, on the scalar
+    # backward kernels and on the matrix window table alike.
+    budget = Budget(max_value=100)
+    scalar = Machine("s", 1, ("p", "q"), (Transition("p", "q", AffineMap1(1, 200)),))
+    got = pre_star_bounded(scalar, UpwardTarget(Configuration("q", (50,))), budget)
+    assert len(got.configs) == 51 and got.truncated
+    assert find_path(scalar, Configuration("p", (0,)), UpwardTarget(Configuration("q", (50,))),
+                     Budget(max_value=200))[0] is not None
+    shift = AffineMapD(((1, 0), (0, 1)), (200, 0))
+    matrix = Machine("d", 2, ("p", "q"), (Transition("p", "q", shift),))
+    got = pre_star_bounded(matrix, UpwardTarget(Configuration("q", (50, 0))), budget)
+    assert len(got.configs) == 51 * 101 and got.truncated
+    # a target wholly above the window is cut too, not an empty complete answer
+    step = Machine("q", 1, ("q",), (Transition("q", "q", AffineMap1(1, 1)),))
+    got = pre_star_bounded(step, UpwardTarget(Configuration("q", (101,))), budget)
+    assert len(got.configs) == 0 and got.truncated
+
+
 def test_relational_window_predecessors_skip_the_forward_cut_check(monkeypatch):
     # the window scan needs no solver: truncation comes from _enters_window,
     # which asks at most once per transition
@@ -447,12 +467,14 @@ def reference_pre_star(m, target, budget):
     mv = budget.max_value
     if isinstance(target, Configuration):
         seeds = [target] if max(target.counters) <= mv else []
+        truncated = not seeds
     else:
         seeds = [c for c in in_window(m, budget) if c.state == target.state
                  and all(a >= b for a, b in zip(c.counters, target.config.counters))]
         if len(seeds) > budget.max_configs:
             return "budget"
-    truncated = not seeds
+        # the target's members above the window are cut
+        truncated = True
     if m.flavor in ("affine1", "minsky"):
         # every predecessor, found by applying each transition into the state
         box = list(itertools.product(range(far(budget) if m.flavor == "affine1" else mv + 2),
