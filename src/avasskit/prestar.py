@@ -25,13 +25,19 @@ sweeps two exact operations until nothing changes:
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print.
 
-Cycles enter the fixpoint as summaries, not as paths.  :func:`pre_cycle_star`
-reads only a cycle's composed update and entry guard, so the simple cycles
-through one root that agree on ``(meta, guard)`` are one operator on that
-root's set.  Each call only adds values, and the least family of sets closed
-under all of them does not depend on how often one is listed: one call per
-distinct ``(root, meta, guard)`` is exact.  ``cycle_cap`` bounds the path
-summaries that :func:`enumerate_simple_cycles` stores, over all roots.
+Cycles enter the fixpoint as summaries, not as paths, and each simple cycle
+is accelerated at one state only: its least state in declaration order, the
+root Johnson's circuit enumeration gives it (one cut point per cycle, as in
+Bourdoncle's chaotic iteration).  :func:`pre_cycle_star` reads only a cycle's
+composed update and entry guard, so the cycles rooted at one state that agree
+on ``(meta, guard)`` are one operator on that state's set: one call per
+distinct ``(root, meta, guard)``.  This stays exact whichever cycles are
+chosen.  Every acceleration adds only true predecessors, and a sweep stops
+only when each state's set is closed under :func:`pre_transition` of every
+outgoing transition, so the sets hold all of pre* and nothing more.  The
+choice of cycles changes only how many sweeps that takes; a run that does not
+settle still hits the sweep cap.  ``cycle_cap`` bounds the path summaries
+that :func:`enumerate_simple_cycles` stores, over all roots.
 
 Acceleration through cycles is what makes the sweep reach a fixpoint at all:
 transition preimages alone would descend through an unbounded chain.  A sweep
@@ -114,13 +120,13 @@ def pre_transition(p: AffineMap1, s: SemilinearSet) -> SemilinearSet:
 
 @dataclass(frozen=True)
 class SimpleCycle:
-    """The simple cycles through ``root`` that share one full turn's update and guard.
+    """The simple cycles rooted at ``root`` that share one full turn's update and guard.
 
     ``meta`` is the composed affine update of one full turn; ``guard`` is the
     single clause of entry values from which the whole turn can be taken (the
     intersection of every step's domain and user guard, pulled back through
-    the prefix maps).  A cycle through k states counts under each of its k
-    roots, with the same meta and guard.
+    the prefix maps).  ``root`` is the cycle's least state in the machine's
+    declaration order; the turns that start at its other states are not listed.
     """
 
     root: str
@@ -136,23 +142,26 @@ _Summary = tuple[int, int, Clause]  # (a, b, guard) of a path, as in SimpleCycle
 def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
     """One summary per distinct (root, meta, guard) of a simple cycle, nonempty guards only.
 
-    One memoized walk per root, through the states that can reach the root
-    again.  Deterministic order: roots in state declaration order, then the
-    order in which a depth-first walk over transitions in declaration order
-    first meets each summary.  Raises BudgetExceededError past ``cap`` stored
-    path summaries, over all roots, or when a path outgrows the recursion
-    limit.
+    Each simple cycle is rooted at its least state in ``m.states`` order.  One
+    memoized walk per root, through the states declared after it that can
+    reach it again without passing an earlier state.  Deterministic order:
+    roots in state declaration order, then the order in which a depth-first
+    walk over transitions in declaration order first meets each summary.
+    Raises BudgetExceededError past ``cap`` stored path summaries (the
+    summaries of the suffix paths the walks memoize, over all roots), or when
+    a path outgrows the recursion limit.
     """
     if m.flavor != "affine1":
         raise FlavorError("cycle analysis is for 1-dim affine machines")
     stored = 0
     out: list[SimpleCycle] = []
+    earlier: set[str] = set()
     for root in m.states:
         returns = {root}
         todo = [root]
         while todo:
             for t in m.transitions_to(todo.pop()):
-                if t.source not in returns:
+                if t.source not in returns and t.source not in earlier:
                     returns.add(t.source)
                     todo.append(t.source)
         memo: dict[tuple[str, frozenset[str]], dict[_Summary, None]] = {}
@@ -187,6 +196,7 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
             raise BudgetExceededError(
                 f"a cycle through {root} is too long to walk") from None
         out += [SimpleCycle(root, AffineMap1(a, b), guard) for a, b, guard in found]
+        earlier.add(root)
     return out
 
 

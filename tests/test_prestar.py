@@ -16,6 +16,7 @@ from avasskit.machine import (
     Machine,
     Transition,
     UpwardTarget,
+    apply,
     apply_payload,
     domain_clause,
 )
@@ -190,18 +191,16 @@ def test_pre_transition_matches_set_intersection_form():
 
 # --- cycle enumeration -------------------------------------------------------
 
-def test_m1_has_four_cycle_entries_in_declaration_order():
+def test_m1_has_three_cycle_entries_in_declaration_order():
     cycles = enumerate_simple_cycles(m1())
+    # the q1<->q2 loop is rooted at q1 only, its least state
     assert [(c.root, c.meta.a, c.meta.b) for c in cycles] == [
         ("q1", 1, -13),
         ("q1", -1, 19),
         ("q2", 1, -3),
-        ("q2", 1, -13),
     ]
     by_root = {(c.root, c.meta.b): c for c in cycles}
-    # the two rotations of the q1<->q2 loop share meta and entry guard
     assert by_root[("q1", -13)].guard == Clause(13, None)
-    assert by_root[("q2", -13)].guard == Clause(13, None)
     assert by_root[("q1", 19)].guard == Clause(0, 19)
     assert by_root[("q2", -3)].guard == Clause(3, None)
 
@@ -212,8 +211,9 @@ def test_cycle_guard_folds_user_guards_and_domains():
         Transition("b", "a", AffineMap1(1, -4)),
     ))
     cycles = enumerate_simple_cycles(m)
-    assert len(cycles) == 2
-    entry = next(c for c in cycles if c.root == "a")
+    assert len(cycles) == 1
+    entry = cycles[0]
+    assert entry.root == "a"
     # even n, n >= 2 (first step), and n - 2 >= 4 (second step): even n >= 6
     assert entry.guard == Clause(6, None, 2, 0)
     assert (entry.meta.a, entry.meta.b) == (1, -6)
@@ -243,13 +243,12 @@ def test_cycle_walk_skips_states_that_cannot_return():
     cycles = enumerate_simple_cycles(Machine("tail", 1, ("a", "b") + chain, tuple(trans)))
     assert [(c.root, c.meta, c.guard) for c in cycles] == [
         ("a", AffineMap1(1, 0), Clause(0, None)),
-        ("b", AffineMap1(1, 0), Clause(1, None)),
     ]
 
 
-def k_n(n: int) -> Machine:
-    """The complete digraph on n states, every edge x' = x + b, b drawn by Random(7)."""
-    rng = random.Random(7)
+def k_n(n: int, seed: int = 7) -> Machine:
+    """The complete digraph on n states, every edge x' = x + b, b drawn by Random(seed)."""
+    rng = random.Random(seed)
     states = tuple(f"q{i}" for i in range(n))
     return Machine(f"k{n}", 1, states, tuple(
         Transition(u, v, AffineMap1(1, rng.choice([-3, -2, -1, 1, 2])))
@@ -271,15 +270,16 @@ def guarded_machine(rng: random.Random) -> Machine:
 
 
 def path_summaries(m: Machine) -> list[tuple[str, AffineMap1, Clause]]:
-    """Every simple cycle per root by a plain path DFS, folded front to back
-    into (root, meta, guard); empty guards dropped, repeats kept."""
+    """Every simple cycle at its least state (in declaration order) by a plain
+    path DFS, folded front to back into (root, meta, guard); empty guards
+    dropped, repeats kept."""
     out = []
 
     def walk(root: str, state: str, visited: set[str], path: list[Transition]) -> None:
         for t in m.transitions_from(state):
             if t.target == root:
                 out.append((root, path + [t]))
-            elif t.target not in visited:
+            elif t.target not in visited and m.states.index(t.target) > m.states.index(root):
                 walk(root, t.target, visited | {t.target}, path + [t])
 
     for root in m.states:
@@ -308,12 +308,13 @@ def test_cycle_summaries_match_path_enumeration():
         expected = list(dict.fromkeys(path_summaries(m)))
         got = [(c.root, c.meta, c.guard) for c in enumerate_simple_cycles(m)]
         assert got == expected, m
-    assert len(enumerate_simple_cycles(k_n(5))) == 154
-    # K8 has 109,592 simple cycle entries but only 1,368 summaries; its walk
-    # stores 71,393 path summaries, which is what the cap counts
-    assert len(enumerate_simple_cycles(k_n(8))) == 1368
+    assert len(enumerate_simple_cycles(k_n(5))) == 43
+    # K8 has 16,064 simple cycles but only 409 summaries at their least
+    # states; its walk stores 13,261 path summaries, which is what the cap counts
+    assert len(enumerate_simple_cycles(k_n(8))) == 409
     with pytest.raises(BudgetExceededError):
-        enumerate_simple_cycles(k_n(8), cap=71_392)
+        enumerate_simple_cycles(k_n(8), cap=13_260)
+    enumerate_simple_cycles(k_n(8), cap=13_261)
 
 
 def test_cycle_enumeration_needs_single_counter_affine():
@@ -527,6 +528,23 @@ def test_pre_star_result_is_closed_under_preimages():
             res.set_for(cyc.root))
 
 
+def ring(n: int) -> Machine:
+    states = tuple(f"r{i}" for i in range(n))
+    return Machine(f"ring{n}", 1, states, tuple(
+        Transition(p, q, AffineMap1(1, 1)) for p, q in zip(states, states[1:] + states[:1])))
+
+
+def test_pre_star_on_long_rings():
+    # one simple cycle, rooted at r0 only: the walk stores one path summary per
+    # state, far below the cycle cap (one root per state would store n * n)
+    for n in (317, 900):
+        res = compute_pre_star(ring(n), Configuration("r0", (5,)))
+        expected = {"r0": 5} | {f"r{n - k}": 5 - k for k in range(1, 6)}
+        for q in res.machine.states:
+            want = singleton(expected[q]) if q in expected else EMPTY
+            assert res.set_for(q).equal(want), (n, q)
+
+
 def random_machine(rng: random.Random) -> Machine:
     n_states = rng.randint(1, 3)
     states = tuple(f"q{i}" for i in range(n_states))
@@ -545,43 +563,72 @@ def random_machine(rng: random.Random) -> Machine:
     return Machine("rnd", 1, states, tuple(trans), initial=states[0])
 
 
+def check_against_bounded_explorer(m: Machine, target: Configuration) -> bool:
+    """Differential checks of one pre*, or False when it runs out of budget.
+
+    The seed is in the target's set; every set is closed under the preimage
+    of every transition (which makes it hold all of pre*, whatever cycles
+    were accelerated); everything the bounded explorer reaches backward in
+    the window is claimed; and each claimed low value has a run that
+    ``machine.apply`` replays into the target.
+    """
+    try:
+        res = compute_pre_star(m, target)
+    except BudgetExceededError:
+        return False  # acceptance tracks budget blowups; here we skip
+    assert res.set_for(target.state).member(target.counter), m
+    for s in res.sets.values():
+        assert s == s.normalized(), m
+
+    # closure: one more application of any preimage adds nothing
+    for t in m.transitions:
+        assert pre_transition(t.payload, res.set_for(t.target)).subset(
+            res.set_for(t.source)), m
+    for cyc in enumerate_simple_cycles(m):
+        assert pre_cycle_star(cyc, res.set_for(cyc.root)).equal(
+            res.set_for(cyc.root)), m
+
+    # everything the bounded explorer can reach backward is claimed
+    bounded = pre_star_bounded(m, target, Budget(max_value=60))
+    for c in bounded.configs:
+        assert res.set_for(c.state).member(c.counter), (m, c)
+
+    # and each claimed low value really has a witness path
+    for q in m.states:
+        for n in res.set_for(q).values(25):
+            start = Configuration(q, (n,))
+            steps, _ = find_path(m, start, target, Budget(max_value=600))
+            if steps is None:
+                steps, _ = find_path(m, start, target, Budget(max_value=6000))
+            assert steps is not None, (m, q, n)
+            cur = start
+            for t, after in steps:
+                cur = apply(m, t, cur)
+                assert cur == after, (m, q, n)
+            assert cur == target, (m, q, n)
+    return True
+
+
 def test_pre_star_random_machines_against_bounded_explorer():
     rng = random.Random(4106)
     checked = 0
     for _ in range(40):
         m = random_machine(rng)
         target = Configuration(rng.choice(m.states), (rng.randint(0, 8),))
-        try:
-            res = compute_pre_star(m, target)
-        except BudgetExceededError:
-            continue  # acceptance tracks budget blowups; here we skip
-        checked += 1
-        for s in res.sets.values():
-            assert s == s.normalized(), m
-
-        # closure: one more application of any preimage adds nothing
-        for t in m.transitions:
-            assert pre_transition(t.payload, res.set_for(t.target)).subset(
-                res.set_for(t.source)), m
-        for cyc in enumerate_simple_cycles(m):
-            assert pre_cycle_star(cyc, res.set_for(cyc.root)).equal(
-                res.set_for(cyc.root)), m
-
-        # everything the bounded explorer can reach backward is claimed
-        bounded = pre_star_bounded(m, target, Budget(max_value=60))
-        for c in bounded.configs:
-            assert res.set_for(c.state).member(c.counter), (m, c)
-
-        # and each claimed low value really has a witness path
-        for q in m.states:
-            for n in res.set_for(q).values(25):
-                steps, _ = find_path(m, Configuration(q, (n,)), target,
-                                     Budget(max_value=600))
-                if steps is None:
-                    steps, _ = find_path(m, Configuration(q, (n,)), target,
-                                         Budget(max_value=6000))
-                assert steps is not None, (m, q, n)
+        checked += check_against_bounded_explorer(m, target)
     assert checked >= 25
+
+
+def test_pre_star_guarded_and_complete_machines_against_bounded_explorer():
+    rng = random.Random(4109)
+    cases = []
+    for _ in range(200):
+        m = guarded_machine(rng)
+        cases.append((m, Configuration(rng.choice(m.states), (rng.randint(0, 8),))))
+    # K3 draws like the dense benchmark corpus, and K4
+    for m in [k_n(3, seed) for seed in range(8)] + [k_n(4)]:
+        cases += [(m, Configuration("q0", (v,))) for v in (0, 5)]
+    assert all([check_against_bounded_explorer(m, target) for m, target in cases])
 
 
 def test_pre_star_needs_affine_single_counter():
