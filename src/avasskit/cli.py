@@ -5,15 +5,22 @@ standard error.  Decision verbs print a machine-parseable ``verdict: yes|no``
 as their first line; the exit code never encodes the answer.  Codes: 0 the
 analysis ran and produced its output, 3 bad input (usage, parse, or machine
 errors), 4 an internal budget gave out (cycle cap, solver arity).
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call: argparse keeps no state of a
+parse on the parser, and it looks up ``sys.stdout`` and ``sys.stderr`` only
+when it writes, so an in-process call pays only for its verb.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import signal
 import sys
+import threading
 
 from . import __version__
 from .decide import (
@@ -321,7 +328,9 @@ def _add_json(p: argparse.ArgumentParser) -> None:
                    help="structured output with stable keys")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: built on the first call, then shared."""
     parser = _Parser(prog="avasskit",
                      description="exact analyses for affine counter machines")
     parser.add_argument("--version", action="version",
@@ -431,8 +440,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(signal, "SIGPIPE"):
-        # die quietly when a downstream reader closes early, like cat/grep do
+    if hasattr(signal, "SIGPIPE") and threading.current_thread() is threading.main_thread():
+        # die quietly when a downstream reader closes early, like cat/grep do;
+        # only the main thread may install a handler
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)

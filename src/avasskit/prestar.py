@@ -147,9 +147,9 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
     reach it again without passing an earlier state.  Deterministic order:
     roots in state declaration order, then the order in which a depth-first
     walk over transitions in declaration order first meets each summary.
-    Raises BudgetExceededError past ``cap`` stored path summaries (the
-    summaries of the suffix paths the walks memoize, over all roots), or when
-    a path outgrows the recursion limit.
+    The walk keeps its own stack, so a path may be longer than the recursion
+    limit.  Raises BudgetExceededError past ``cap`` stored path summaries (the
+    summaries of the suffix paths the walks memoize, over all roots).
     """
     if m.flavor != "affine1":
         raise FlavorError("cycle analysis is for 1-dim affine machines")
@@ -164,16 +164,21 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
                 if t.source not in returns and t.source not in earlier:
                     returns.add(t.source)
                     todo.append(t.source)
-        memo: dict[tuple[str, frozenset[str]], dict[_Summary, None]] = {}
-
-        def suffixes(state: str, visited: frozenset[str]) -> dict[_Summary, None]:
-            """(a, b, guard) of every simple path from state back to root avoiding visited."""
-            nonlocal stored
-            key = (state, visited)
-            if key in memo:
-                return memo[key]
-            found = memo[key] = {}
-            for t in m.transitions_from(state):
+        # memo[(state, visited)]: the (a, b, guard) of every simple path from
+        # state back to root that avoids visited.  A frame (key, i) resumes at
+        # transition i out of its state; a transition into an unwalked suffix
+        # pushes the frame back, then the suffix's, and is met again once
+        # that suffix is done.
+        start = (root, frozenset([root]))
+        memo: dict[tuple[str, frozenset[str]], dict[_Summary, None]] = {start: {}}
+        stack = [(start, 0)]
+        while stack:
+            key, i = stack.pop()
+            state, visited = key
+            found = memo[key]
+            ts = m.transitions_from(state)
+            for i in range(i, len(ts)):
+                t = ts[i]
                 p = t.payload
                 dom = domain_clause(p)
                 if dom.is_empty:
@@ -181,21 +186,21 @@ def enumerate_simple_cycles(m: Machine, cap: int = DEFAULT_CYCLE_CAP) -> list[Si
                 if t.target == root:
                     found[(p.a, p.b, dom)] = None
                 elif t.target in returns and t.target not in visited:
-                    for a, b, g in suffixes(t.target, visited | {t.target}):
+                    sub = (t.target, visited | {t.target})
+                    suffix = memo.get(sub)
+                    if suffix is None:
+                        memo[sub] = {}
+                        stack += [(key, i), (sub, 0)]
+                        break
+                    for a, b, g in suffix:
                         guard = intersect_clauses(dom, _affine_preimage_clause(p.a, p.b, g))
                         if not guard.is_empty:
                             found[(a * p.a, a * p.b + b, guard)] = None
-            stored += len(found)
-            if stored > cap:
-                raise BudgetExceededError(f"more than {cap} cycle path summaries")
-            return found
-
-        try:
-            found = suffixes(root, frozenset([root]))
-        except RecursionError:
-            raise BudgetExceededError(
-                f"a cycle through {root} is too long to walk") from None
-        out += [SimpleCycle(root, AffineMap1(a, b), guard) for a, b, guard in found]
+            else:
+                stored += len(found)
+                if stored > cap:
+                    raise BudgetExceededError(f"more than {cap} cycle path summaries")
+        out += [SimpleCycle(root, AffineMap1(a, b), guard) for a, b, guard in memo[start]]
         earlier.add(root)
     return out
 

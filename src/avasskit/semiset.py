@@ -46,6 +46,24 @@ def _prog_bits(start: int, upper: int, step: int) -> int:
     return ((1 << (count * step)) - 1) // ((1 << step) - 1) << start
 
 
+def _mask_of(width: int, bits: list[int]) -> int:
+    """Bitmask with the given positions (each below width) set, in time linear in width.
+
+    Fewer than 16 bits are ORed in one by one, which is cheapest on small
+    masks; more are written into one '0'/'1' word that is read back in one
+    pass, where ORing each would cost a pass over the mask per bit.
+    """
+    if len(bits) < 16:
+        mask = 0
+        for n in bits:
+            mask |= 1 << n
+        return mask
+    word = bytearray(b"0") * width
+    for n in bits:
+        word[n] = 49  # ord("1")
+    return int(word[::-1], 2)
+
+
 def _set_bits(mask: int) -> list[int]:
     """Positions of the set bits of a natural, ascending, in time linear in its length."""
     word = format(mask, "b")[::-1]
@@ -180,16 +198,31 @@ class SemilinearSet:
                 l = math.lcm(l, c.modulus)
             else:
                 t = max(t, c.hi + 1)
-        fmask = 0
-        rmask = 0
+        # a progression that sets one bit adds its position to a list, and each
+        # list becomes a mask at once, so that a clause's cost does not grow
+        # with the mask's width (a modulus-L clause sets one residue bit)
+        fmask = rmask = 0
+        fbits: list[int] = []
+        rbits: list[int] = []
         for c in self.clauses:
-            upper = t if c.hi is None else min(c.hi + 1, t)
-            fmask |= _prog_bits(c.lo, upper, c.modulus)
+            lo, m = c.lo, c.modulus
             if c.hi is None:
+                upper = t
                 # residues r in [0, L) with r ≡ c.residue (mod c.modulus); since
                 # membership above T only depends on n mod c.modulus, and
                 # c.lo <= T, the residue class is fully included from T on.
-                rmask |= _prog_bits(c.residue % c.modulus, l, c.modulus)
+                if m == l:
+                    rbits.append(c.residue)
+                else:
+                    rmask |= _prog_bits(c.residue, l, m)
+            else:
+                upper = c.hi + 1
+            if upper > lo + m:
+                fmask |= _prog_bits(lo, upper, m)
+            elif upper > lo:
+                fbits.append(lo)
+        fmask |= _mask_of(t, fbits)
+        rmask |= _mask_of(l, rbits)
         # the least period is the least rotation that maps the l-bit word of
         # rmask onto itself (it divides l); the least threshold lies just past
         # the last value below t that breaks the pattern

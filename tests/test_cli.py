@@ -4,10 +4,12 @@ Everything drives ``main(argv)`` in-process; one test execs the module to
 confirm the installed surface agrees.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -146,15 +148,30 @@ def test_prestar_unknown_state_exits_3(capsys, m1_file):
     assert code == 3 and "error:" in err
 
 
-def test_prestar_on_a_cycle_too_long_to_walk_exits_4(capsys, tmp_path):
+def test_prestar_on_a_ring_longer_than_the_recursion_limit(capsys, tmp_path):
+    # the cycle walk keeps its own stack, so a ring of 1,100 states settles
     states = [f"s{i}" for i in range(1100)]
     path = tmp_path / "ring.cm"
     path.write_text("machine ring\ndim 1\n" +
                     "".join(f"state {q}\n" for q in states) +
                     "".join(f"trans {p} -> {q} : x' = 1x + 1\n"
                             for p, q in zip(states, states[1:] + states[:1])))
-    code, _, err = run(capsys, "prestar", str(path), "--state", "s0", "--value", "0")
-    assert code == 4 and "error:" in err
+    assert len(states) > sys.getrecursionlimit()
+    code, out, err = run(capsys, "prestar", str(path), "--state", "s0", "--value", "5")
+    assert code == 0 and err == ""
+    # s0 keeps 5; s_(1100-k) is k steps short of it, for k up to 5
+    want = {"s0": 5} | {f"s{1100 - k}": 5 - k for k in range(1, 6)}
+    assert out == "".join(f"{q}: [{want[q]}..{want[q]}] mod 1 = 0\n" if q in want
+                          else f"{q}: empty\n" for q in states)
+
+
+def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
+    path = tmp_path / "loop.cm"
+    path.write_text("machine loop\ndim 1\nstate q init\n"
+                    "trans q -> q : x' = 1x + 1 ; guard [0..300000]\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
+    assert code == 4 and out == ""
+    assert err == "error: cycle guard enumeration of 300001 values over budget\n"
 
 
 def test_reach_verdicts(capsys, m1_file):
@@ -374,3 +391,75 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "avasskit 0.1.0" in proc.stdout
+
+
+def test_main_runs_in_a_worker_thread(capsys):
+    code, want, _ = run(capsys, "gen", "examples")
+    assert code == 0
+    got = {}
+
+    def work():
+        try:
+            got["code"] = main(["gen", "examples"])
+        except Exception as exc:  # reported by the assertion below
+            got["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got == {"code": 0}
+    assert capsys.readouterr().out == want
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch, m1_file):
+    run(capsys, "classify", m1_file)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, "prestar", m1_file, "--state", "q1", "--value", "19")
+    assert code == 0 and out.startswith("q1: ")
+    assert built == []
+
+
+def test_one_process_answers_like_a_fresh_process_per_call(capsys, monkeypatch,
+                                                           m1_file, m2_file):
+    prestar = ["prestar", m1_file, "--state", "q1", "--value", "19"]
+    calls = [
+        ["parse", m1_file],
+        ["classify", m1_file],
+        prestar,
+        prestar + ["--json"],
+        prestar + ["--upward"],
+        ["reach", m1_file, "--from", "q1:0", "--to", "q1:19"],
+        ["cover", m2_file, "--from", "q1:1", "--to", "q1:19"],
+        ["wsts", m1_file],
+        ["prestar", m1_file, "--state", "q1"],  # usage error: no --value
+        ["--version"],
+        prestar,
+    ]
+    # argparse wraps usage lines at the terminal width: pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    here = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        here.append((code, captured.out, captured.err))
+    root = os.path.dirname(os.path.dirname(avasskit.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "avasskit.cli", *argv],
+                              capture_output=True, encoding="utf-8", env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in here] == [0] * 8 + [3, 0, 0]
+    assert here == fresh

@@ -197,6 +197,45 @@ def test_canon_is_canonical():
             assert s.member(n) == bool(bit & 1), (s.render(), n)
 
 
+def reference_canon(s: SemilinearSet) -> tuple[int, int, int, int]:
+    """_canon's masks spelled out from membership alone: the residue word past
+    the clause frame, its least period, then the least threshold."""
+    t, l = clause_frame(s)
+    word = [s.member(t + (r - t) % l) for r in range(l)]  # word[r]: n ≡ r (mod l), n >= t
+    period = next(d for d in range(1, l + 1)
+                  if l % d == 0 and all(word[r] == word[r % d] for r in range(l)))
+    low = t
+    while low > 0 and s.member(low - 1) == word[(low - 1) % period]:
+        low -= 1
+
+    def mask(bits):
+        return int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2)
+
+    return low, period, mask([s.member(n) for n in range(low)]), mask(word[:period])
+
+
+def check_canon_against_membership(s: SemilinearSet) -> tuple[SemilinearSet, SemilinearSet]:
+    """The masks of s, its minimal form and its complement, against membership."""
+    low, period, fmask, rmask = want = reference_canon(s)
+    norm, comp = s.normalized(), s.complement()
+    assert s._canon == want, s.render()
+    assert norm._canon == want, s.render()
+    assert comp._canon == (low, period, ~fmask & ((1 << low) - 1),
+                           ~rmask & ((1 << period) - 1)), s.render()
+    return norm, comp
+
+
+def test_canon_masks_match_membership():
+    rng = random.Random(19997)
+    for _ in range(2000):
+        check_canon_against_membership(random_set(rng))
+    # moduli 19,997 and 6: a least period of 119,982, and forms with tens of
+    # thousands of clauses of modulus L, each of which sets one residue bit
+    wide = semilinear([Clause(7, None, 19997, 3), Clause(5, None, 6, 1), Clause(7, 40, 1, 0)])
+    norm, comp = check_canon_against_membership(wide)
+    assert (len(norm.clauses), len(comp.clauses)) == (20008, 99981)
+
+
 def test_structural_vs_semantic_equality():
     a = semilinear([Clause(0, None, 2, 0), Clause(1, None, 2, 1)])
     b = FULL
