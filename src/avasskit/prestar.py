@@ -12,8 +12,9 @@ sweeps two exact operations until nothing changes:
 * :func:`pre_cycle_star` — the predecessors through *any positive number* of
   turns around one simple cycle, in closed form.  The cycle's composed update
   ``n -> a*n + b`` and its entry guard decide the shape: finite guards are
-  enumerated; translation cycles (a = 1) reduce to per-residue-class least/
-  greatest witness elements; growth cycles (a >= 2) split into an explicitly
+  enumerated; translation cycles (a = 1) give one clause per residue class
+  of the step, bounded by the least/greatest landing element of the set in
+  that class; growth cycles (a >= 2) split into an explicitly
   enumerated low region and one bounded walk per residue class above it,
   with exact thresholds: measured from the fixed point the orbits there grow
   as ``a^j``, so within logarithmically many turns they all pass the largest
@@ -268,7 +269,15 @@ def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[in
 
 
 def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
-    """Acceleration of n -> n + b (b != 0) under an upward-unbounded guard."""
+    """Acceleration of n -> n + b (b != 0) under an upward-unbounded guard.
+
+    When the guard's modulus divides the step, the result is one clause per
+    residue class ``c_res`` mod ``|b|``: the starts of one class land in one
+    class, and the landing clause of each clause of s there differs from the
+    others in one bound only, so their union is one clause, whose bound is
+    the least landing ``lo`` (b < 0) or the greatest landing ``hi`` (b > 0,
+    unbounded once one landing clause is).
+    """
     beta = abs(b)
     r, gm, gr = g.lo, g.modulus, g.residue
     if beta > GUARD_ENUM_CAP:
@@ -279,25 +288,20 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
         return semilinear(intersect_clauses(_affine_preimage_clause(1, b, x), g)
                           for x in s.clauses)
     out: list[Clause] = []
-    for x in s.clauses:
-        for c_res in range(gr, beta, gm):
-            if b < 0:
-                # least landing value m = n - i*beta with m ≡ n (mod beta),
-                # m in x, and the last guarded input m + beta >= r
-                mclause = intersect_clauses(
-                    Clause(max(r - beta, 0), None, beta, c_res), x)
-                if mclause.is_empty:
-                    continue
-                out.append(Clause(mclause.lo + beta, None, beta, c_res))
-            else:
-                # some landing value m = n + i*beta >= n + beta must be in x
-                mclause = intersect_clauses(Clause(0, None, beta, c_res), x)
-                if mclause.is_empty:
-                    continue
-                if mclause.hi is None:
-                    out.append(Clause(max(r, 0), None, beta, c_res))
-                else:
-                    out.append(Clause(max(r, 0), mclause.hi - beta, beta, c_res))
+    for c_res in range(gr, beta, gm):
+        # b < 0: the least landing value m = n - i*beta with m ≡ n (mod beta),
+        # m in s, and the last guarded input m + beta >= r; b > 0: some
+        # landing value m = n + i*beta >= n + beta must be in s
+        land = Clause(max(r - beta, 0) if b < 0 else 0, None, beta, c_res)
+        hits = [m for m in (intersect_clauses(land, x) for x in s.clauses) if not m.is_empty]
+        if not hits:
+            continue
+        if b < 0:
+            out.append(Clause(min(m.lo for m in hits) + beta, None, beta, c_res))
+        elif any(m.hi is None for m in hits):
+            out.append(Clause(max(r, 0), None, beta, c_res))
+        else:
+            out.append(Clause(max(r, 0), max(m.hi for m in hits) - beta, beta, c_res))
     return semilinear(out)
 
 

@@ -1,19 +1,23 @@
 """Source hygiene: every name a package module imports is used there or
-exported, every exported name exists, every private def is used, and every
-name the benchmark's tracer wraps exists."""
+exported, every exported name exists, every private def is used, every
+name the benchmark's tracer wraps exists, and every committed benchmark
+record agrees with its own runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
+import statistics
 from collections import Counter
 from pathlib import Path
 
 import avasskit
 
 PACKAGE = Path(avasskit.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -94,3 +98,34 @@ def test_every_private_def_is_used():
                 own[node.name] += sum(_referenced(sub) == node.name for sub in ast.walk(node))
     assert len(defs) > 1
     assert sorted(where for name, where in defs.items() if uses[name] <= own[name]) == []
+
+
+def _change_wins(better: str, parent_runs: list[float], change_runs: list[float]) -> int:
+    """Pairs, zipped in run order, in which the change beats the parent."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+
+
+def test_benchmark_records_agree_with_their_runs():
+    # a median or a win count in BENCH_<n>.json that its own parent_runs and
+    # change_runs do not give is a hand-edited claim
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    wrong = []
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        for workload, entry in record["workloads"].items():
+            for name, m in entry["metrics"].items():
+                parent, change = m["parent_runs"], m["change_runs"]
+                if (len(parent) != len(change)
+                        or statistics.median(parent) != m["parent"]["median"]
+                        or statistics.median(change) != m["change"]["median"]
+                        or _change_wins(m["better"], parent, change) != m["change_wins"]):
+                    wrong.append(f"{path.name} {workload}/{name}")
+        holdout = record.get("holdout")
+        if holdout is not None:
+            better = record["workloads"][holdout["workload"]]["metrics"][holdout["metric"]]["better"]
+            if _change_wins(better, holdout["parent_runs"],
+                            holdout["change_runs"]) != holdout["change_wins"]:
+                wrong.append(f"{path.name} holdout")
+    assert wrong == []

@@ -24,6 +24,7 @@ from avasskit.prestar import (
     CLASS_MODULUS_CAP,
     SimpleCycle,
     _affine_preimage_clause,
+    _cycle_pre_translation,
     compute_pre_star,
     compute_pre_star_upward,
     enumerate_simple_cycles,
@@ -420,6 +421,37 @@ def test_cycle_star_random_translations():
     for _ in range(250):
         b = rng.choice([x for x in range(-12, 13) if x != 0])
         check_cycle_case(rng, 1, b, random_guard(rng), random_set(rng))
+    # Larger sets whose moduli (and the guard's) divide the step, so that
+    # several clauses land in one residue class of the step.
+    rng = random.Random(4119)
+    for _ in range(150):
+        b = rng.choice([x for x in range(-12, 13) if x != 0])
+        divisors = [d for d in range(1, abs(b) + 1) if b % d == 0]
+        clauses = []
+        for _ in range(rng.randint(4, 8)):
+            m, lo = rng.choice(divisors), rng.randint(0, 60)
+            clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 100)]),
+                                  m, rng.randrange(m)))
+        gm = rng.choice(divisors)
+        guard = Clause(rng.randint(0, 12), None, gm, rng.randrange(gm))
+        check_cycle_case(rng, 1, b, guard, semilinear(clauses))
+
+
+def test_cycle_star_translation_gives_one_clause_per_residue_class():
+    # several clauses of s share the class 4 mod 6; the guard's modulus 3
+    # divides the step, so both directions take the accelerated branch
+    guard = Clause(2, None, 3, 1)
+    for s in (semilinear([Clause(10, 20, 6, 4), Clause(30, 40, 6, 4), Clause(64, 70, 2, 0),
+                          Clause(7, 9), Clause(45, 58, 3, 1)]),
+              semilinear([Clause(10, 20, 6, 4), Clause(30, 40, 6, 4), Clause(55, None, 6, 4),
+                          Clause(7, 9), Clause(25, None, 2, 1)])):
+        for b in (-6, 6):
+            got = _cycle_pre_translation(b, guard, s)
+            classes = [c.residue for c in got.clauses]
+            assert all(c.modulus == 6 for c in got.clauses), got
+            assert sorted(classes) == sorted(set(classes)), got
+            assert set(classes) <= set(range(guard.residue, 6, guard.modulus)), got
+            check_cycle_case(random.Random(0), 1, b, guard, s, bound=160)
 
 
 def test_cycle_star_random_growth():
@@ -625,8 +657,8 @@ def test_pre_star_guarded_and_complete_machines_against_bounded_explorer():
     for _ in range(200):
         m = guarded_machine(rng)
         cases.append((m, Configuration(rng.choice(m.states), (rng.randint(0, 8),))))
-    # K3 draws like the dense benchmark corpus, and K4
-    for m in [k_n(3, seed) for seed in range(8)] + [k_n(4)]:
+    # K3 draws like the dense benchmark corpus, K4 and K5
+    for m in [k_n(3, seed) for seed in range(8)] + [k_n(4), k_n(5)]:
         cases += [(m, Configuration("q0", (v,))) for v in (0, 5)]
     assert all([check_against_bounded_explorer(m, target) for m, target in cases])
 
