@@ -18,7 +18,7 @@ print()
 
 target = Configuration("q1", (19,))
 result = compute_pre_star(m, target)
-print(f"predecessors of {target.render()} (fixpoint after {result.sweeps} sweeps):")
+print(f"predecessors of {target.render()} (fixpoint after {result.sweeps} state updates):")
 for state in m.states:
     print(f"  {state}: {result.sets[state].compact().render()}")
 

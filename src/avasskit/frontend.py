@@ -293,6 +293,8 @@ def parse_machine(text: str) -> Machine:
         col0 = line.text.index(stripped[0])
         head, _, rest = stripped.partition(" ")
         rest = rest.strip()
+        if name is None and head in ("dim", "state", "trans"):
+            raise ParseError("machine declaration must come first", _span(line, col0))
         if head == "machine":
             if name is not None:
                 raise ParseError("second machine declaration", _span(line, col0))
@@ -303,8 +305,6 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError("expected: machine NAME", _span(line, col0))
             name = rest
         elif head == "dim":
-            if name is None:
-                raise ParseError("machine declaration must come first", _span(line, col0))
             if dim_seen:
                 raise ParseError("second dim declaration", _span(line, col0))
             if not rest.isdigit() or int(rest) < 1:
@@ -312,8 +312,6 @@ def parse_machine(text: str) -> Machine:
             dim = int(rest)
             dim_seen = True
         elif head == "state":
-            if name is None:
-                raise ParseError("machine declaration must come first", _span(line, col0))
             parts = rest.split()
             if not parts or len(parts) > 2 or (len(parts) == 2 and parts[1] != "init"):
                 raise ParseError("expected: state NAME [init]", _span(line, col0))
@@ -326,8 +324,6 @@ def parse_machine(text: str) -> Machine:
                     raise ParseError("two initial states", _span(line, col0))
                 initial = q
         elif head == "trans":
-            if name is None:
-                raise ParseError("machine declaration must come first", _span(line, col0))
             transitions.append(
                 _parse_transition(line, stripped[len(head):], col0 + len(head),
                                   states, dim))

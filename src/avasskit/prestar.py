@@ -2,7 +2,7 @@
 
 ``compute_pre_star`` returns, per control state, the exact semilinear set of
 counter values from which a target configuration is reachable.  The fixpoint
-sweeps two exact operations until nothing changes:
+recomputes one state at a time from two exact operations until nothing changes:
 
 * :func:`pre_transition` — the preimage of a semilinear set under one
   transition's affine update: each clause pulls back to one clause, which is
@@ -32,23 +32,24 @@ root Johnson's circuit enumeration gives it (one cut point per cycle, as in
 Bourdoncle's chaotic iteration).  :func:`pre_cycle_star` reads only a cycle's
 composed update and entry guard, so the cycles rooted at one state that agree
 on ``(meta, guard)`` are one operator on that state's set: one call per
-distinct ``(root, meta, guard)``.  This stays exact whichever cycles are
-chosen.  Every acceleration adds only true predecessors, and a sweep stops
-only when each state's set is closed under :func:`pre_transition` of every
-outgoing transition, so the sets hold all of pre* and nothing more.  The
-choice of cycles changes only how many sweeps that takes; a run that does not
-settle still hits the sweep cap.  ``cycle_cap`` bounds the path summaries
+distinct ``(root, meta, guard)``.  ``cycle_cap`` bounds the path summaries
 that :func:`enumerate_simple_cycles` stores, over all roots.
 
-Acceleration through cycles is what makes the sweep reach a fixpoint at all:
-transition preimages alone would descend through an unbounded chain.  A sweep
-cap turns divergence (or an enumeration blow-up) into BudgetExceededError —
-reported as a defect of the run, never as a verdict.
+One first-in, first-out worklist drives the fixpoint (Bourdoncle's chaotic
+iteration): it starts with the target's state and the sources of the
+transitions into it, and a state whose set changes queues the sources of the
+transitions into it.  Every acceleration adds only true predecessors, and the
+worklist empties only when each state was recomputed after its successors
+last changed, so each set is closed under :func:`pre_transition` of every
+outgoing transition and holds all of pre* (a state never queued has only
+empty successors).  So neither the cycles chosen nor the order change the
+answer, only the number of state updates.  Acceleration makes the worklist
+empty at all, as preimages alone would descend an unbounded chain; a cap on
+state updates turns divergence into BudgetExceededError, never a verdict.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -73,8 +74,6 @@ from .semiset import (
     semilinear,
     singleton,
 )
-
-log = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +366,7 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
 
 @dataclass(frozen=True)
 class PreStarResult:
-    """Per-state predecessor sets of a target, each minimal, plus how many sweeps it took."""
+    """Per-state predecessor sets of a target, each minimal; ``sweeps`` counts state updates."""
 
     machine: Machine
     target: Configuration | UpwardTarget
@@ -395,29 +394,30 @@ def _pre_star_fixpoint(m: Machine, target: Configuration | UpwardTarget,
 
     sets = {q: EMPTY for q in m.states}
     sets[target.state] = seed
-    for sweep in range(1, max_sweeps + 1):
-        changed = False
-        for q in m.states:
-            acc = sets[q]
-            for t in m.transitions_from(q):
-                acc = acc.union(pre_transition(t.payload, sets[t.target]))
-            for cyc in cycles_by_root[q]:
-                acc = pre_cycle_star(cyc, acc)
-            if not acc.equal(sets[q]):
-                sets[q] = acc.normalized()
-                changed = True
-        if not changed:
-            log.debug("backward fixpoint for %s settled after %d sweeps",
-                      target.render(), sweep)
-            return PreStarResult(m, target, sets, sweep)
-    raise BudgetExceededError(
-        f"no backward fixpoint after {max_sweeps} sweeps")
+    queued = dict.fromkeys([target.state] + [t.source for t in m.transitions_to(target.state)])
+    budget = max_sweeps * len(m.states)
+    updates = 0
+    while queued:
+        q = next(iter(queued))
+        del queued[q]
+        updates += 1
+        if updates > budget:
+            raise BudgetExceededError(f"no backward fixpoint after {budget} state updates")
+        acc = sets[q]
+        for t in m.transitions_from(q):
+            acc = acc.union(pre_transition(t.payload, sets[t.target]))
+        for cyc in cycles_by_root[q]:
+            acc = pre_cycle_star(cyc, acc)
+        if not acc.equal(sets[q]):
+            sets[q] = acc.normalized()
+            queued.update(dict.fromkeys(t.source for t in m.transitions_to(q)))
+    return PreStarResult(m, target, sets, updates)
 
 
 def compute_pre_star(m: Machine, target: Configuration, *,
                      max_sweeps: int = DEFAULT_SWEEP_CAP,
                      cycle_cap: int = DEFAULT_CYCLE_CAP) -> PreStarResult:
-    """Exact predecessor sets of one configuration, per control state."""
+    """Exact per-state predecessor sets of a configuration; at most ``max_sweeps`` × |Q| updates."""
     _check_flavor(m)
     m.check_configuration(target)
     return _pre_star_fixpoint(m, target, singleton(target.counter),
@@ -427,7 +427,7 @@ def compute_pre_star(m: Machine, target: Configuration, *,
 def compute_pre_star_upward(m: Machine, target: UpwardTarget, *,
                             max_sweeps: int = DEFAULT_SWEEP_CAP,
                             cycle_cap: int = DEFAULT_CYCLE_CAP) -> PreStarResult:
-    """Exact predecessor sets of the upward closure of a configuration."""
+    """Exact predecessor sets of the upward closure of a configuration, same cap."""
     _check_flavor(m)
     m.check_configuration(target.config)
     return _pre_star_fixpoint(m, target, interval(target.config.counter, None),

@@ -163,6 +163,13 @@ def test_prestar_on_a_ring_longer_than_the_recursion_limit(capsys, tmp_path):
     want = {"s0": 5} | {f"s{1100 - k}": 5 - k for k in range(1, 6)}
     assert out == "".join(f"{q}: [{want[q]}..{want[q]}] mod 1 = 0\n" if q in want
                           else f"{q}: empty\n" for q in states)
+    # a value that goes round the whole ring twice: s0 is {100, 1200, 2300},
+    # and s_i is {v <= 1200 + i : v = 100 + i mod 1100}
+    code, out, err = run(capsys, "prestar", str(path), "--state", "s0", "--value", "2300")
+    assert code == 0 and err == ""
+    assert out == "s0: [100..2300] mod 1100 = 100\n" + "".join(
+        f"s{i}: [{(100 + i) % 1100}..{1200 + i}] mod 1100 = {(100 + i) % 1100}\n"
+        for i in range(1, 1100))
 
 
 def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):

@@ -158,6 +158,14 @@ def test_error_spans():
     assert e.span.line == 1
 
 
+def test_error_declaration_before_machine():
+    for line in ("dim 1", "state a init", "trans a -> a : x' = 1x + 0"):
+        e = err(f"# header\n  {line}\nmachine m\n")
+        assert e.message == "machine declaration must come first"
+        assert (e.span.line, e.span.column) == (2, 3)
+    assert err("# header\n  bogus 1\nmachine m\n").message == "unknown directive 'bogus'"
+
+
 def test_error_byte_offset_tracks_lines():
     e = err("machine m\nbogus\n")
     assert e.span.offset == len("machine m\n".encode())

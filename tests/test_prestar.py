@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from avasskit import prestar
 from avasskit.errors import BudgetExceededError, FlavorError
 from avasskit.machine import (
     AffineMap1,
@@ -575,6 +576,31 @@ def test_pre_star_on_long_rings():
         for q in res.machine.states:
             want = singleton(expected[q]) if q in expected else EMPTY
             assert res.set_for(q).equal(want), (n, q)
+
+
+def test_pre_star_update_cap():
+    # r0:2300 needs one update per state plus one more for r0, so a cap of
+    # one update per state is one short
+    m, target = ring(1100), Configuration("r0", (2300,))
+    with pytest.raises(BudgetExceededError, match="after 1100 state updates"):
+        compute_pre_star(m, target, max_sweeps=1)
+    res = compute_pre_star(m, target)
+    assert res.sweeps == 1101
+    assert res.set_for("r0").equal(from_values([100, 1200, 2300]))
+
+
+def test_pre_star_never_recomputes_states_that_cannot_reach_the_target(monkeypatch):
+    r = ring(1000)
+    m = Machine("loop_and_ring", 1, ("t",) + r.states,
+                (Transition("t", "t", AffineMap1(1, 1)),) + r.transitions)
+    calls = []
+    monkeypatch.setattr(prestar, "pre_transition",
+                        lambda p, s: calls.append(p) or pre_transition(p, s))
+    res = compute_pre_star(m, Configuration("t", (5,)))
+    assert res.set_for("t").equal(interval(0, 5))
+    assert all(res.set_for(q).is_empty for q in r.states)
+    # only t is recomputed, once per update, through its self-loop
+    assert res.sweeps <= 2 and len(calls) == res.sweeps
 
 
 def random_machine(rng: random.Random) -> Machine:
