@@ -20,7 +20,7 @@ target = Configuration("q1", (19,))
 result = compute_pre_star(m, target)
 print(f"predecessors of {target.render()} (fixpoint after {result.sweeps} state updates):")
 for state in m.states:
-    print(f"  {state}: {result.sets[state].compact().render()}")
+    print(f"  {state}: {result.sets[state].render()}")
 
 # The same question answered by exhaustive backward search, value-capped at
 # 400.  This machine can never push a counter above max(n, 19) + 13 while

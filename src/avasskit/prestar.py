@@ -24,7 +24,14 @@ recomputes one state at a time from two exact operations until nothing changes:
   :func:`_orbit_hits`.
 
 Every set the fixpoint stores is in the minimal form
-(:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print.
+(:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print, and so
+is every set it hands to a cycle after the state's first one: each
+acceleration's result is rebuilt before the next, so the clause lists the
+accelerations walk stay as short as the sets they denote.  Rebuilding keeps
+the members, and an acceleration's result depends only on the members of its
+input, so every set the fixpoint computes is the same without it.  Only the
+growth period, read off the clause moduli, can differ, and with it whether
+``CLASS_MODULUS_CAP`` is passed.
 
 Cycles enter the fixpoint as summaries, not as paths, and each simple cycle
 is accelerated at one state only: its least state in declaration order, the
@@ -344,7 +351,7 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
     for rho in range(g.residue, period, g.modulus):
         whole = Clause(low + 1, None, period, rho)
         x, pj, cj = rho, 1, 0
-        found: list[Clause] = []
+        found: dict[Clause, None] = {}  # an ordered set
         later: set[int] = set()  # residues seen once every start is past `top`
         while x % g.modulus == g.residue and whole not in found:
             x = (a * x + b) % period
@@ -353,10 +360,11 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
                 if x in later:
                     break
                 later.add(x)
-            found += [Clause(max(low + 1, _cdiv(c.lo - cj, pj)),
-                             None if c.hi is None else (c.hi - cj) // pj, period, rho)
-                      for c in s.clauses if x % c.modulus == c.residue]
-        out += [whole] if whole in found else found
+            found.update(dict.fromkeys(
+                Clause(max(low + 1, _cdiv(c.lo - cj, pj)),
+                       None if c.hi is None else (c.hi - cj) // pj, period, rho)
+                for c in s.clauses if x % c.modulus == c.residue))
+        out += [whole] if whole in found else list(found)
     return out
 
 
@@ -407,7 +415,7 @@ def _pre_star_fixpoint(m: Machine, target: Configuration | UpwardTarget,
         for t in m.transitions_from(q):
             acc = acc.union(pre_transition(t.payload, sets[t.target]))
         for cyc in cycles_by_root[q]:
-            acc = pre_cycle_star(cyc, acc)
+            acc = pre_cycle_star(cyc, acc).normalized()
         if not acc.equal(sets[q]):
             sets[q] = acc.normalized()
             queued.update(dict.fromkeys(t.source for t in m.transitions_to(q)))

@@ -484,6 +484,16 @@ def test_cycle_star_random_growth():
         check_cycle_case(rng, a, b, guard, s, top + rng.randint(1, 60) if i % 3 == 0 else 140)
 
 
+def test_cycle_star_growth_with_a_long_period():
+    # period 503: past 1000 the bounded clause yields the same empty threshold
+    # clause on every turn of a class's walk, and a hit on 7 mod 503 can take
+    # hundreds of turns, so the oracle runs with raised caps
+    s = semilinear([Clause(0, 1000), Clause(3, None, 503, 7)])
+    got = pre_cycle_star(cycle(2, 1, Clause(0, None)), s)
+    assert members_below(got, 1100) == cycle_pre_oracle(
+        2, 1, Clause(0, None), s, 1100, step_cap=6000, value_cap=10 ** 240)
+
+
 def test_cycle_star_random_finite_guards():
     rng = random.Random(4104)
     for _ in range(200):
@@ -589,6 +599,23 @@ def test_pre_star_update_cap():
     assert res.set_for("r0").equal(from_values([100, 1200, 2300]))
 
 
+def test_pre_star_hands_cycles_minimal_sets(monkeypatch):
+    # each acceleration's result is rebuilt before the next cycle reads it;
+    # without that, the largest results on K5 and K6 have 112 and 174 clauses
+    sizes = []
+
+    def counted(cyc, s):
+        got = pre_cycle_star(cyc, s)
+        sizes.append(len(got.clauses))
+        return got
+
+    monkeypatch.setattr(prestar, "pre_cycle_star", counted)
+    for n in (5, 6):
+        sizes.clear()
+        compute_pre_star(k_n(n), Configuration("q0", (5,)))
+        assert 0 < max(sizes) <= 24, (n, max(sizes))
+
+
 def test_pre_star_never_recomputes_states_that_cannot_reach_the_target(monkeypatch):
     r = ring(1000)
     m = Machine("loop_and_ring", 1, ("t",) + r.states,
@@ -683,8 +710,8 @@ def test_pre_star_guarded_and_complete_machines_against_bounded_explorer():
     for _ in range(200):
         m = guarded_machine(rng)
         cases.append((m, Configuration(rng.choice(m.states), (rng.randint(0, 8),))))
-    # K3 draws like the dense benchmark corpus, K4 and K5
-    for m in [k_n(3, seed) for seed in range(8)] + [k_n(4), k_n(5)]:
+    # K3 draws like the dense benchmark corpus, K4 to K7
+    for m in [k_n(3, seed) for seed in range(8)] + [k_n(n) for n in range(4, 8)]:
         cases += [(m, Configuration("q0", (v,))) for v in (0, 5)]
     assert all([check_against_bounded_explorer(m, target) for m, target in cases])
 
