@@ -14,13 +14,17 @@ recomputes one state at a time from two exact operations until nothing changes:
   ``n -> a*n + b`` and its entry guard decide the shape: finite guards are
   enumerated; translation cycles (a = 1) give one clause per residue class
   of the step, bounded by the least/greatest landing element of the set in
-  that class; growth cycles (a >= 2) split into an explicitly
-  enumerated low region and one bounded walk per residue class above it,
-  with exact thresholds: measured from the fixed point the orbits there grow
-  as ``a^j``, so within logarithmically many turns they all pass the largest
-  clause bound of the set, where a hit covers the whole class and a residue
-  repeats within one period; constant cycles (a = 0) collapse to a single
-  membership test.  Both enumerations walk each start's orbit in one loop,
+  that class, all found in one pass over the set's clauses (a clause of
+  modulus ``m`` meets each of its classes within ``|b| / gcd(|b|, m)``
+  members, so the pass takes the sum over clauses of ``min(members,
+  |b| / gcd(|b|, m))`` turns, at most ``GUARD_ENUM_CAP`` per clause); growth
+  cycles (a >= 2) split into an explicitly enumerated low region and one
+  bounded walk per residue class above it, with exact thresholds: measured
+  from the fixed point the orbits there grow as ``a^j``, so within
+  logarithmically many turns they all pass the largest clause bound of the
+  set, where a hit covers the whole class and a residue repeats within one
+  period; constant cycles (a = 0) collapse to a single membership test.
+  Both enumerations walk each start's orbit in one loop,
   :func:`_orbit_hits`.
 
 Every set the fixpoint stores is in the minimal form
@@ -277,38 +281,60 @@ def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[in
 def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
     """Acceleration of n -> n + b (b != 0) under an upward-unbounded guard.
 
-    When the guard's modulus divides the step, the result is one clause per
-    residue class ``c_res`` mod ``|b|``: the starts of one class land in one
-    class, and the landing clause of each clause of s there differs from the
-    others in one bound only, so their union is one clause, whose bound is
-    the least landing ``lo`` (b < 0) or the greatest landing ``hi`` (b > 0,
-    unbounded once one landing clause is).
+    When the guard's modulus divides the step ``beta = |b|``, the result is
+    one clause per residue class ``c`` mod ``beta`` that meets the guard: the
+    starts of one class land in one class, and the landing values there of
+    all clauses of s differ in one bound only, so their union is one clause,
+    whose bound is the least landing value (b < 0) or the greatest one
+    (b > 0, unbounded once one clause is).  One pass over s finds these
+    bounds: a clause, cut to the guard's classes and to the landing bound,
+    has modulus ``m``, and any ``beta / gcd(beta, m)`` of its members in a
+    row meet each class it meets once.  So the walk from its least member
+    (from its greatest for b > 0 and a finite ``hi``) takes
+    ``min(members, beta / gcd(beta, m))`` turns, and the pass costs the sum of
+    these over s.  A clause whose walk would take more than ``GUARD_ENUM_CAP``
+    turns raises BudgetExceededError; a walk is never longer than ``beta``,
+    so every step up to the cap is accelerated whatever the set.
     """
     beta = abs(b)
     r, gm, gr = g.lo, g.modulus, g.residue
-    if beta > GUARD_ENUM_CAP:
-        raise BudgetExceededError(f"translation step {beta} over budget")
     if beta % gm != 0:
         # the guard congruence breaks after one application, so i = 1 only:
         # n in guard and n + b in s
         return semilinear(intersect_clauses(_affine_preimage_clause(1, b, x), g)
                           for x in s.clauses)
-    out: list[Clause] = []
-    for c_res in range(gr, beta, gm):
-        # b < 0: the least landing value m = n - i*beta with m ≡ n (mod beta),
-        # m in s, and the last guarded input m + beta >= r; b > 0: some
-        # landing value m = n + i*beta >= n + beta must be in s
-        land = Clause(max(r - beta, 0) if b < 0 else 0, None, beta, c_res)
-        hits = [m for m in (intersect_clauses(land, x) for x in s.clauses) if not m.is_empty]
-        if not hits:
+    # b < 0: the least landing value m = n - i*beta with m ≡ n (mod beta),
+    # m in s, and the last guarded input m + beta >= r; b > 0: some landing
+    # value m = n + i*beta >= n + beta must be in s
+    land = Clause(r - beta if b < 0 else 0, None, gm, gr)
+    bound: dict[int, int | None] = {}  # class -> least/greatest landing value
+    for x in s.clauses:
+        y = intersect_clauses(land, x)
+        if y.is_empty:
             continue
+        step = y.modulus
+        count = beta // math.gcd(beta, step)
+        if y.hi is not None:
+            count = min(count, (y.hi - y.lo) // step + 1)
+        if count > GUARD_ENUM_CAP:
+            raise BudgetExceededError(
+                f"translation step {beta} over budget: a clause walk of {count} class turns")
         if b < 0:
-            out.append(Clause(min(m.lo for m in hits) + beta, None, beta, c_res))
-        elif any(m.hi is None for m in hits):
-            out.append(Clause(max(r, 0), None, beta, c_res))
+            for v in range(y.lo, y.lo + count * step, step):
+                c = v % beta
+                if c not in bound or bound[c] > v:
+                    bound[c] = v
+        elif y.hi is None:
+            bound.update(dict.fromkeys(v % beta for v in range(y.lo, y.lo + count * step, step)))
         else:
-            out.append(Clause(max(r, 0), max(m.hi for m in hits) - beta, beta, c_res))
-    return semilinear(out)
+            for v in range(y.hi, y.hi - count * step, -step):
+                c = v % beta
+                if c not in bound or bound[c] is not None and bound[c] < v:
+                    bound[c] = v
+    if b < 0:
+        return semilinear(Clause(bound[c] + beta, None, beta, c) for c in sorted(bound))
+    return semilinear(Clause(r, None if bound[c] is None else bound[c] - beta, beta, c)
+                      for c in sorted(bound))
 
 
 def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:

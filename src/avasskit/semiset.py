@@ -13,8 +13,12 @@ least period ``L`` with which the set eventually repeats, the least threshold
 the residues mod ``L`` that are members from ``T`` on.  The masks depend on the
 members alone, so equality, inclusion and fullness compare masks.  Masks are
 plain Python ints, so comparison runs at word speed even when ``L`` is in the
-millions (which happens when many cycle moduli pile up).  Clauses are rebuilt
-from the masks one way only, into the minimal form of :func:`_minimal`.
+millions (which happens when many cycle moduli pile up).  They are built by
+:func:`_mask_of` from one progression per clause, each at the cost of its
+members rather than of the mask's width once there are many clauses, so a
+set of tens of thousands of modulus-``L`` clauses costs one pass over ``L``.
+Clauses are rebuilt from the masks one way only, into the minimal form of
+:func:`_minimal`.
 """
 
 from __future__ import annotations
@@ -46,22 +50,24 @@ def _prog_bits(start: int, upper: int, step: int) -> int:
     return ((1 << (count * step)) - 1) // ((1 << step) - 1) << start
 
 
-def _mask_of(width: int, bits: list[int]) -> int:
-    """Bitmask with the given positions (each below width) set, in time linear in width.
+def _mask_of(width: int, progressions: list[tuple[int, int, int]]) -> int:
+    """Bitmask of the progressions ``(start, upper, step)``, each with upper <= width.
 
-    Fewer than 16 bits are ORed in one by one, which is cheapest on small
-    masks; more are written into one '0'/'1' word that is read back in one
-    pass, where ORing each would cost a pass over the mask per bit.
+    A progression sets bits start, start+step, ... strictly below upper.
+    Fewer than 16 are ORed in through :func:`_prog_bits`, which is cheapest on
+    small masks; more are slice-assigned into one '0'/'1' word that is read
+    back once, so each costs its members, where ORing each would cost a pass
+    over the mask.
     """
-    if len(bits) < 16:
+    if len(progressions) < 16:
         mask = 0
-        for n in bits:
-            mask |= 1 << n
+        for p in progressions:
+            mask |= _prog_bits(*p)
         return mask
     word = bytearray(b"0") * width
-    for n in bits:
-        word[n] = 49  # ord("1")
-    return int(word[::-1], 2)
+    for start, upper, step in progressions:
+        word[start:upper:step] = b"1" * len(range(start, upper, step))
+    return int(word[::-1] or b"0", 2)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -198,31 +204,19 @@ class SemilinearSet:
                 l = math.lcm(l, c.modulus)
             else:
                 t = max(t, c.hi + 1)
-        # a progression that sets one bit adds its position to a list, and each
-        # list becomes a mask at once, so that a clause's cost does not grow
-        # with the mask's width (a modulus-L clause sets one residue bit)
-        fmask = rmask = 0
-        fbits: list[int] = []
-        rbits: list[int] = []
+        # one progression per clause below t, and one residue progression per
+        # unbounded clause (since membership above T only depends on n mod
+        # c.modulus, and c.lo <= T, its residue class is fully included from T on)
+        fprogs = []
+        rprogs = []
         for c in self.clauses:
-            lo, m = c.lo, c.modulus
             if c.hi is None:
-                upper = t
-                # residues r in [0, L) with r ≡ c.residue (mod c.modulus); since
-                # membership above T only depends on n mod c.modulus, and
-                # c.lo <= T, the residue class is fully included from T on.
-                if m == l:
-                    rbits.append(c.residue)
-                else:
-                    rmask |= _prog_bits(c.residue, l, m)
+                fprogs.append((c.lo, t, c.modulus))
+                rprogs.append((c.residue, l, c.modulus))
             else:
-                upper = c.hi + 1
-            if upper > lo + m:
-                fmask |= _prog_bits(lo, upper, m)
-            elif upper > lo:
-                fbits.append(lo)
-        fmask |= _mask_of(t, fbits)
-        rmask |= _mask_of(l, rbits)
+                fprogs.append((c.lo, c.hi + 1, c.modulus))
+        fmask = _mask_of(t, fprogs)
+        rmask = _mask_of(l, rprogs)
         # the least period is the least rotation that maps the l-bit word of
         # rmask onto itself (it divides l); the least threshold lies just past
         # the last value below t that breaks the pattern

@@ -181,6 +181,30 @@ def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
     assert err == "error: cycle guard enumeration of 300001 values over budget\n"
 
 
+def test_prestar_long_translation_step_under_a_breaking_guard(capsys, tmp_path):
+    # the guard's modulus 2 does not divide the step, so only one turn counts
+    # and no class is walked: the step's size costs nothing
+    path = tmp_path / "step.cm"
+    path.write_text("machine step\ndim 1\nstate q init\n"
+                    "trans q -> q : x' = 1x + -300001 ; guard [0..] mod 2 = 1\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
+    assert (code, out, err) == (0, "q: [5..5] mod 1 = 0\n", "")
+
+
+def test_prestar_long_translation_step_is_charged_its_class_turns(capsys, tmp_path):
+    # {5} meets one class of the step in one turn; [5..] meets all 300,000
+    # classes, a walk past the guard-enumeration budget
+    path = tmp_path / "step.cm"
+    path.write_text("machine step\ndim 1\nstate q init\ntrans q -> q : x' = 1x + -300000\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
+    assert (code, out, err) == (0, "q: [5..] mod 300000 = 5\n", "")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5",
+                         "--upward")
+    assert code == 4 and out == ""
+    assert err == ("error: translation step 300000 over budget: "
+                   "a clause walk of 300000 class turns\n")
+
+
 def test_reach_verdicts(capsys, m1_file):
     code, out, _ = run(capsys, "reach", m1_file, "--from", "q1:0", "--to", "q1:19")
     assert code == 0 and out.splitlines()[0] == "verdict: yes"

@@ -23,6 +23,7 @@ from avasskit.machine import (
 )
 from avasskit.prestar import (
     CLASS_MODULUS_CAP,
+    PreStarResult,
     SimpleCycle,
     _affine_preimage_clause,
     _cycle_pre_translation,
@@ -455,6 +456,64 @@ def test_cycle_star_translation_gives_one_clause_per_residue_class():
             check_cycle_case(random.Random(0), 1, b, guard, s, bound=160)
 
 
+def class_by_class_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
+    """Reference for _cycle_pre_translation: every residue class of the step
+    in turn, each clause of s intersected with that class's landing clause."""
+    beta = abs(b)
+    r, gm, gr = g.lo, g.modulus, g.residue
+    if beta % gm != 0:
+        return semilinear(intersect_clauses(_affine_preimage_clause(1, b, x), g)
+                          for x in s.clauses)
+    out: list[Clause] = []
+    for c_res in range(gr, beta, gm):
+        land = Clause(max(r - beta, 0) if b < 0 else 0, None, beta, c_res)
+        hits = [m for m in (intersect_clauses(land, x) for x in s.clauses) if not m.is_empty]
+        if not hits:
+            continue
+        if b < 0:
+            out.append(Clause(min(m.lo for m in hits) + beta, None, beta, c_res))
+        elif any(m.hi is None for m in hits):
+            out.append(Clause(max(r, 0), None, beta, c_res))
+        else:
+            out.append(Clause(max(r, 0), max(m.hi for m in hits) - beta, beta, c_res))
+    return semilinear(out)
+
+
+def test_cycle_star_translation_matches_the_class_by_class_reference():
+    # both signs of the step up to 40, guard moduli that do and do not divide
+    # it, bounded and unbounded clauses, and clause moduli that divide the
+    # step, are multiples of it, or neither
+    rng = random.Random(4120)
+    for _ in range(1500):
+        b = rng.choice([x for x in range(-40, 41) if x != 0])
+        divisors = [d for d in range(1, abs(b) + 1) if b % d == 0]
+        gm = rng.choice(divisors) if rng.random() < 0.8 else rng.randint(1, 9)
+        guard = Clause(rng.randint(0, 60), None, gm, rng.randrange(gm))
+        clauses = []
+        for _ in range(rng.randint(1, 10)):
+            m = rng.choice([rng.choice(divisors), abs(b) * rng.randint(1, 3), rng.randint(1, 30)])
+            lo = rng.randint(0, 200)
+            clauses.append(Clause(lo, rng.choice([None, lo + rng.randint(-5, 300)]),
+                                  m, rng.randrange(m)))
+        s = semilinear(clauses)
+        got = _cycle_pre_translation(b, guard, s)
+        want = class_by_class_translation(b, guard, s)
+        assert got.clauses == want.clauses, (b, guard, s.render())
+
+
+def test_cycle_star_translation_cap_counts_one_clause_walk(monkeypatch):
+    # the cap bounds each clause's walk, never longer than the step, so a
+    # step within the cap is accelerated whatever the number of clauses
+    monkeypatch.setattr(prestar, "GUARD_ENUM_CAP", 10)
+    guard = Clause(0, None)
+    s = semilinear([Clause(0, None, 3, 0), Clause(4, None, 3, 1), Clause(8, 40, 3, 2)])
+    for b in (-10, 10):  # three walks of 10 turns
+        got = _cycle_pre_translation(b, guard, s)
+        assert got.clauses == class_by_class_translation(b, guard, s).clauses
+    with pytest.raises(BudgetExceededError, match="a clause walk of 11 class turns"):
+        _cycle_pre_translation(-11, guard, s)
+
+
 def test_cycle_star_random_growth():
     rng = random.Random(4103)
     for _ in range(200):
@@ -648,19 +707,21 @@ def random_machine(rng: random.Random) -> Machine:
     return Machine("rnd", 1, states, tuple(trans), initial=states[0])
 
 
-def check_against_bounded_explorer(m: Machine, target: Configuration) -> bool:
-    """Differential checks of one pre*, or False when it runs out of budget.
+def check_against_bounded_explorer(m: Machine, target: Configuration, low: int = 25,
+                                   max_value: int = 6000) -> PreStarResult | None:
+    """Differential checks of one pre*, which is returned, or None when it runs out of budget.
 
     The seed is in the target's set; every set is closed under the preimage
     of every transition (which makes it hold all of pre*, whatever cycles
     were accelerated); everything the bounded explorer reaches backward in
-    the window is claimed; and each claimed low value has a run that
-    ``machine.apply`` replays into the target.
+    the window is claimed; and each claimed value up to ``low`` has a run,
+    through counter values up to ``max_value``, that ``machine.apply``
+    replays into the target.
     """
     try:
         res = compute_pre_star(m, target)
     except BudgetExceededError:
-        return False  # acceptance tracks budget blowups; here we skip
+        return None  # acceptance tracks budget blowups; here we skip
     assert res.set_for(target.state).member(target.counter), m
     for s in res.sets.values():
         assert s == s.normalized(), m
@@ -680,18 +741,18 @@ def check_against_bounded_explorer(m: Machine, target: Configuration) -> bool:
 
     # and each claimed low value really has a witness path
     for q in m.states:
-        for n in res.set_for(q).values(25):
+        for n in res.set_for(q).values(low):
             start = Configuration(q, (n,))
             steps, _ = find_path(m, start, target, Budget(max_value=600))
             if steps is None:
-                steps, _ = find_path(m, start, target, Budget(max_value=6000))
+                steps, _ = find_path(m, start, target, Budget(max_value=max_value))
             assert steps is not None, (m, q, n)
             cur = start
             for t, after in steps:
                 cur = apply(m, t, cur)
                 assert cur == after, (m, q, n)
             assert cur == target, (m, q, n)
-    return True
+    return res
 
 
 def test_pre_star_random_machines_against_bounded_explorer():
@@ -700,7 +761,7 @@ def test_pre_star_random_machines_against_bounded_explorer():
     for _ in range(40):
         m = random_machine(rng)
         target = Configuration(rng.choice(m.states), (rng.randint(0, 8),))
-        checked += check_against_bounded_explorer(m, target)
+        checked += check_against_bounded_explorer(m, target) is not None
     assert checked >= 25
 
 
@@ -713,7 +774,21 @@ def test_pre_star_guarded_and_complete_machines_against_bounded_explorer():
     # K3 draws like the dense benchmark corpus, K4 to K7
     for m in [k_n(3, seed) for seed in range(8)] + [k_n(n) for n in range(4, 8)]:
         cases += [(m, Configuration("q0", (v,))) for v in (0, 5)]
-    assert all([check_against_bounded_explorer(m, target) for m, target in cases])
+    assert all([check_against_bounded_explorer(m, target) is not None for m, target in cases])
+
+
+def test_pre_star_long_translation_beside_a_growth_cycle():
+    # the fixpoint hands the -16384 self loop a set of 29,266 clauses, and
+    # canonicalizes sets of up to 45,650 clauses on the way
+    m = Machine("long", 1, ("q", "p"), (
+        Transition("q", "q", AffineMap1(1, -16384)),
+        Transition("q", "q", AffineMap1(2, 1)),
+        Transition("q", "p", AffineMap1(1, 0)),
+        Transition("p", "q", AffineMap1(1, -7)),
+    ))
+    # runs to q:5 from values that are 0, 1 or 3 mod 7 pass 16,389 on the way
+    res = check_against_bounded_explorer(m, Configuration("q", (5,)), low=9, max_value=30000)
+    assert res.sets == {"q": interval(0, None), "p": interval(7, None)}
 
 
 def test_pre_star_needs_affine_single_counter():

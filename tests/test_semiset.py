@@ -229,6 +229,24 @@ def test_canon_masks_match_membership():
     rng = random.Random(19997)
     for _ in range(2000):
         check_canon_against_membership(random_set(rng))
+    # 16 to 60 clauses, past which the masks are slice-assigned into one word:
+    # intervals, progressions whose moduli divide the set's period, and
+    # unbounded residue families of that period
+    for _ in range(150):
+        period = rng.choice([6, 12, 30, 60])
+        divisors = [d for d in range(1, period) if period % d == 0]
+        clauses = []
+        for _ in range(rng.randint(16, 60)):
+            lo, kind = rng.randrange(200), rng.random()
+            if kind < 0.4:
+                clauses.append(Clause(lo, lo + rng.randrange(40)))
+            elif kind < 0.7:
+                m = rng.choice(divisors)
+                clauses.append(Clause(lo, rng.choice([None, lo + rng.randrange(300)]),
+                                      m, rng.randrange(m)))
+            else:
+                clauses.append(Clause(lo, None, period, rng.randrange(period)))
+        check_canon_against_membership(semilinear(clauses))
     # moduli 19,997 and 6: a least period of 119,982, and forms with tens of
     # thousands of clauses of modulus L, each of which sets one residue bit
     wide = semilinear([Clause(7, None, 19997, 3), Clause(5, None, 6, 1), Clause(7, 40, 1, 0)])
