@@ -443,7 +443,8 @@ def _pre_star_fixpoint(m: Machine, target: Configuration | UpwardTarget,
         for cyc in cycles_by_root[q]:
             acc = pre_cycle_star(cyc, acc).normalized()
         if not acc.equal(sets[q]):
-            sets[q] = acc.normalized()
+            # the cycle loop leaves acc minimal already
+            sets[q] = acc if cycles_by_root[q] else acc.normalized()
             queued.update(dict.fromkeys(t.source for t in m.transitions_to(q)))
     return PreStarResult(m, target, sets, updates)
 

@@ -1,7 +1,10 @@
 """Semilinear subsets of the naturals: finite unions of guarded arithmetic progressions.
 
 A :class:`Clause` denotes ``{n : lo <= n <= hi and n % modulus == residue}`` with
-``hi=None`` meaning unbounded.  A :class:`SemilinearSet` is a finite union of
+``hi=None`` meaning unbounded.  It is the normalized tuple ``(lo, hi, modulus,
+residue)``: its constructor is the only way to build one, so hashing, equality
+and deduplication run at tuple speed, and a clause compares equal to the plain
+4-tuple of its fields.  A :class:`SemilinearSet` is a finite union of
 clauses.  These are exactly the subsets of the naturals definable in one free
 variable by quantifier-free linear arithmetic with divisibility, and they are
 closed under every operation this module exposes: union, intersection,
@@ -18,7 +21,8 @@ millions (which happens when many cycle moduli pile up).  They are built by
 members rather than of the mask's width once there are many clauses, so a
 set of tens of thousands of modulus-``L`` clauses costs one pass over ``L``.
 Clauses are rebuilt from the masks one way only, into the minimal form of
-:func:`_minimal`.
+:func:`_minimal`, which keeps the masks it was built from as the result's
+own, so a minimal set never recomputes them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -90,40 +95,47 @@ def _replicate(mask: int, unit: int, copies: int) -> int:
     return mask * (((1 << (copies * unit)) - 1) // ((1 << unit) - 1))
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(tuple):
     """One guarded progression ``{n : lo <= n (<= hi) and n ≡ residue (mod modulus)}``.
 
-    Construction normalizes: ``lo`` is clamped to 0 and snapped up to the first
-    actual member, a finite ``hi`` is snapped down to the last member, and a
-    clause with no members collapses to the canonical empty clause
-    ``Clause(1, 0, 1, 0)``.  After that, ``lo`` (and a finite ``hi``) are
-    themselves members, which the rest of the package relies on.
+    A clause is the normalized tuple ``(lo, hi, modulus, residue)``, immutable
+    and without an instance dict, so it hashes and compares at tuple speed and
+    compares equal to the plain 4-tuple of its fields.  Construction is the
+    only way in, and it normalizes: ``lo`` is clamped to 0 and snapped up to
+    the first actual member, a finite ``hi`` is snapped down to the last
+    member, and a clause with no members is the canonical empty clause
+    ``EMPTY_CLAUSE == Clause(1, 0, 1, 0)``.  After that, ``lo`` (and a finite
+    ``hi``) are themselves members, which the rest of the package relies on.
     """
 
-    lo: int
-    hi: int | None = None
-    modulus: int = 1
-    residue: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"clause modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-        lo = max(self.lo, 0)
-        lo += (self.residue - lo) % self.modulus  # snap up to a member
-        hi = self.hi
+    def __new__(cls, lo: int, hi: int | None = None, modulus: int = 1,
+                residue: int = 0) -> "Clause":
+        if modulus < 1:
+            raise ValueError(f"clause modulus must be >= 1, got {modulus}")
+        residue %= modulus
+        if lo < 0:
+            lo = 0
+        lo += (residue - lo) % modulus  # snap up to a member
         if hi is not None:
-            hi -= (hi - self.residue) % self.modulus  # snap down to a member
+            hi -= (hi - residue) % modulus  # snap down to a member
             if hi < lo:
-                # canonical empty clause
-                object.__setattr__(self, "lo", 1)
-                object.__setattr__(self, "hi", 0)
-                object.__setattr__(self, "modulus", 1)
-                object.__setattr__(self, "residue", 0)
-                return
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+                return EMPTY_CLAUSE
+        return tuple.__new__(cls, (lo, hi, modulus, residue))
+
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
+    modulus = property(itemgetter(2))
+    residue = property(itemgetter(3))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild a clause through __new__ from its four fields
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        lo, hi, modulus, residue = self
+        return f"Clause(lo={lo!r}, hi={hi!r}, modulus={modulus!r}, residue={residue!r})"
 
     @property
     def is_empty(self) -> bool:
@@ -153,7 +165,7 @@ class Clause:
         return {"lo": self.lo, "hi": self.hi, "mod": self.modulus, "res": self.residue}
 
 
-EMPTY_CLAUSE = Clause(1, 0, 1, 0)
+EMPTY_CLAUSE = tuple.__new__(Clause, (1, 0, 1, 0))
 
 
 def intersect_clauses(c1: Clause, c2: Clause) -> Clause:
@@ -292,14 +304,13 @@ class SemilinearSet:
 
 
 def semilinear(clauses: Iterable[Clause]) -> SemilinearSet:
-    """Build a set from clauses, dropping empties and structural duplicates."""
-    seen = set()
-    kept = []
-    for c in clauses:
-        if c.is_empty or c in seen:
-            continue
-        seen.add(c)
-        kept.append(c)
+    """Build a set from clauses, dropping empties and structural duplicates.
+
+    Every empty clause is ``EMPTY_CLAUSE``, so one ordered dict keeps the first
+    occurrence of each clause and one deletion drops the empties.
+    """
+    kept = dict.fromkeys(clauses)
+    kept.pop(EMPTY_CLAUSE, None)
     return SemilinearSet(tuple(kept))
 
 
@@ -309,7 +320,8 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
     One unbounded clause per recurrent residue class mod the least period L,
     pulled down as far as the finite part allows, and the leftover finite
     values grouped into maximal progressions.  Equal sets have the same
-    canonical masks, so they get the same clauses.
+    canonical masks, so they get the same clauses.  The masks are those of the
+    result, so it keeps them as its ``_canon`` and never recomputes them.
     """
     finite = format(fmask, f"0{t}b")[::-1]  # finite[n] == "1" iff n < T is a member
     absorbed = 0
@@ -332,8 +344,9 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
                 j += 1
         runs.append(Clause(leftover[i], leftover[j], step, leftover[i]))
         i = j + 1
-    out = sorted(runs + tails, key=lambda c: (c.lo, c.modulus, c.residue))
-    return SemilinearSet(tuple(out))
+    out = SemilinearSet(tuple(sorted(runs + tails, key=lambda c: (c.lo, c.modulus, c.residue))))
+    out.__dict__["_canon"] = (t, l, fmask, rmask)
+    return out
 
 
 EMPTY = SemilinearSet(())

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 from avasskit.semiset import (
     EMPTY,
+    EMPTY_CLAUSE,
     FULL,
     Clause,
     SemilinearSet,
@@ -90,6 +93,54 @@ def test_clause_bad_modulus_rejected():
             pass
         else:
             raise AssertionError("modulus < 1 accepted")
+
+
+def test_clause_is_an_immutable_value():
+    c = Clause(5, 20, 3, 1)
+    try:
+        c.lo = 0
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("clause field assigned")
+    assert not hasattr(c, "__dict__")
+    assert Clause(lo=5, hi=20, modulus=3, residue=1) == c
+    assert Clause(7, 19, 3, 1) == c and hash(Clause(7, 19, 3, 1)) == hash(c)
+    assert c == (7, 19, 3, 1) and hash(c) == hash((7, 19, 3, 1))
+    for copied in [pickle.loads(pickle.dumps(c, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(c)]:
+        assert type(copied) is Clause and copied == c
+    assert pickle.loads(pickle.dumps(EMPTY_CLAUSE)) == EMPTY_CLAUSE
+    for empty in (Clause(10, 4), Clause(5, 6, 4, 3), Clause(-9, -1), Clause(0, 2, 7, 5)):
+        assert empty == EMPTY_CLAUSE and hash(empty) == hash(EMPTY_CLAUSE)
+    assert repr(c) == "Clause(lo=7, hi=19, modulus=3, residue=1)"
+    assert repr(Clause(2)) == "Clause(lo=2, hi=None, modulus=1, residue=0)"
+    # a field-wise builder, if the class has one, normalizes as the constructor does
+    if hasattr(Clause, "_make"):
+        assert Clause._make((5, 20, 3, 1)) == c
+    if hasattr(Clause, "_replace"):
+        assert c._replace(lo=5) == c and c._replace(hi=6) == EMPTY_CLAUSE
+
+
+def test_clause_constructor_against_membership():
+    # moduli below 1 are refused, see test_clause_bad_modulus_rejected
+    rng = random.Random(4096)
+    for _ in range(3000):
+        lo = rng.randint(-50, 200)
+        hi = None if rng.random() < 0.3 else rng.randint(-50, 250)
+        mod = rng.randint(1, 12)
+        res = rng.randint(-30, 30)
+        c = Clause(lo, hi, mod, res)
+        want = [n for n in range(-60, 300)
+                if n >= 0 and n >= lo and (hi is None or n <= hi) and n % mod == res % mod]
+        got = [n for n in range(-60, 300) if c.member(n)]
+        assert got == want, (lo, hi, mod, res, c)
+        if not want:
+            assert c == EMPTY_CLAUSE and c.is_empty, (lo, hi, mod, res, c)
+            continue
+        assert not c.is_empty and c.member(c.lo) and c.lo == want[0], (lo, hi, mod, res, c)
+        if hi is not None:
+            assert c.member(c.hi) and c.hi == want[-1], (lo, hi, mod, res, c)
 
 
 def test_constructor_drops_empty_and_duplicate_clauses():
@@ -183,6 +234,8 @@ def test_canon_is_canonical():
         for same in (s.normalized(), s.union(s.intersect(other)),
                      s.complement().complement(), split_unbounded(s, rng)):
             assert same._canon == canon, (s.render(), same.render())
+            # masks stored by _minimal against masks recomputed from the clauses
+            assert SemilinearSet(same.clauses)._canon == canon, (s.render(), same.render())
         low, period, fmask, rmask = canon
         # no proper divisor of the period repeats the residue pattern
         for k in range(1, period):
@@ -220,8 +273,10 @@ def check_canon_against_membership(s: SemilinearSet) -> tuple[SemilinearSet, Sem
     norm, comp = s.normalized(), s.complement()
     assert s._canon == want, s.render()
     assert norm._canon == want, s.render()
+    assert SemilinearSet(norm.clauses)._canon == want, s.render()
     assert comp._canon == (low, period, ~fmask & ((1 << low) - 1),
                            ~rmask & ((1 << period) - 1)), s.render()
+    assert SemilinearSet(comp.clauses)._canon == comp._canon, s.render()
     return norm, comp
 
 
