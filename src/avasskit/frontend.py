@@ -18,7 +18,12 @@ Payload forms after the colon:
 * relation          ``formula x' = 2x and x = 0 mod 3``
 
 Formula files hold an optional ``vars x y`` declaration line and one formula
-line.  Every parse error carries a :class:`~avasskit.errors.SourceSpan`.
+line.  Affine right-hand sides, relational payloads and formula lines share
+one tokenizer: one regular-expression pass in which every whitespace
+character (``str.isspace``: space, tab, ``\\r``, ``\\v``, ``\\f``, the Unicode
+spaces) separates tokens, as ``str.split()`` does for directives, and any
+other character that starts no token is an error.  Every parse error carries
+a :class:`~avasskit.errors.SourceSpan`.
 Serialization is canonical: ``parse(serialize(parse(text)))`` equals
 ``parse(text)``.
 """
@@ -57,76 +62,67 @@ from .semiset import Clause, SemilinearSet
 # low-level text handling
 
 
-@dataclass
+@dataclass(slots=True)
 class _Line:
     no: int            # 1-based
     text: str          # comment-stripped
-    byte_start: int
+    source: str        # the whole input text
+    start: int         # character offset of the line in source
 
 
 def _split_lines(text: str) -> list[_Line]:
     out = []
-    offset = 0
+    start = 0
     for i, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        out.append(_Line(i, body, offset))
-        offset += len(raw.encode("utf-8")) + 1
+        out.append(_Line(i, raw.partition("#")[0], text, start))
+        start += len(raw) + 1
     return out
 
 
 def _span(line: _Line, col: int) -> SourceSpan:
-    # col is 0-based character position within the stripped line
-    byte_off = line.byte_start + len(line.text[:col].encode("utf-8"))
+    # col is 0-based character position within the stripped line; byte
+    # offsets are counted only here, on the error path
+    byte_off = (len(line.source[:line.start].encode("utf-8"))
+                + len(line.text[:col].encode("utf-8")))
     return SourceSpan(line.no, col + 1, byte_off)
 
 
 # --------------------------------------------------------------------------
 # expression tokenizer / parser (formulas and affine right-hand sides)
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+
+# One alternative per token kind; finditer skips the whitespace between
+# tokens, and any other character is a "bad" token.  No int or ident token
+# spells an operator or a keyword, so a token's text alone tells those apart.
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<int>\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"(?P<int>\d+)"
+    r"|(?P<kw>(?:and|or|not|mod)(?![A-Za-z0-9_']))"
+    rf"|(?P<ident>{_NAME})"
     r"|(?P<op><=|>=|[-+*=<>()])"
-    r"|(?P<bad>\S))"
-)
+    r"|(?P<bad>\S)")
 
-_KEYWORDS = {"and", "or", "not", "mod"}
+_NAME_RE = re.compile(_NAME)
+_COMPARE_OPS = ("<=", "<", "=", ">=", ">")
 
-
-@dataclass
-class _Token:
-    kind: str   # "int" | "ident" | "op" | "kw" | "end"
-    text: str
-    col: int
+# a token is (kind, text, col) with kind one of "int", "ident", "op", "kw", "end"
+_Token = tuple[str, str, int]
 
 
 def _tokenize(line: _Line, text: str, col0: int) -> list[_Token]:
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad") is not None:
-            raise ParseError(
-                f"unexpected character {m.group('bad')!r}",
-                _span(line, col0 + m.start("bad")))
-        if m.group("int") is not None:
-            toks.append(_Token("int", m.group("int"), col0 + m.start("int")))
-        elif m.group("ident") is not None:
-            word = m.group("ident")
-            kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, col0 + m.start("ident")))
-        else:
-            toks.append(_Token("op", m.group("op"), col0 + m.start("op")))
-        pos = m.end()
-    toks.append(_Token("end", "", col0 + len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", _span(line, col0 + m.start()))
+        toks.append((kind, m[0], col0 + m.start()))
+    toks.append(("end", "", col0 + len(text)))
     return toks
 
 
 class _ExprParser:
     def __init__(self, line: _Line, text: str, col0: int,
-                 allowed_vars: set[str] | None = None):
+                 allowed_vars: set[str] | frozenset[str] | None = None):
         self.line = line
         self.toks = _tokenize(line, text, col0)
         self.pos = 0
@@ -135,115 +131,111 @@ class _ExprParser:
     def peek(self) -> _Token:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != "end":
-            self.pos += 1
-        return t
-
     def fail(self, message: str, tok: _Token | None = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, _span(self.line, tok.col))
+        return ParseError(message, _span(self.line, tok[2]))
 
-    def expect_op(self, op: str) -> _Token:
-        t = self.peek()
-        if t.kind != "op" or t.text != op:
+    def expect_op(self, op: str) -> None:
+        if self.peek()[1] != op:
             raise self.fail(f"expected {op!r}")
-        return self.next()
+        self.pos += 1
 
     def at_end(self) -> bool:
-        return self.peek().kind == "end"
+        return self.peek()[0] == "end"
 
     def check_var(self, tok: _Token) -> str:
-        if self.allowed is not None and tok.text not in self.allowed:
-            raise self.fail(f"unbound variable {tok.text!r}", tok)
-        return tok.text
+        if self.allowed is not None and tok[1] not in self.allowed:
+            raise self.fail(f"unbound variable {tok[1]!r}", tok)
+        return tok[1]
 
     # ---- linear sums ----
 
-    def parse_sum(self) -> LinearTerm:
-        t = self.parse_addend()
+    def parse_sum(self, coeffs: dict[str, int], sign: int = 1) -> int:
+        """Add the sum at the cursor, times ``sign``, into ``coeffs``; return
+        its constant, times ``sign``."""
+        constant = self.parse_addend(coeffs, sign)
         while True:
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text in "+-":
-                self.next()
-                rhs = self.parse_addend()
-                t = t.plus(rhs if nxt.text == "+" else rhs.times(-1))
-            else:
-                return t
+            op = self.toks[self.pos][1]
+            if op != "+" and op != "-":
+                return constant
+            self.pos += 1
+            constant += self.parse_addend(coeffs, sign if op == "+" else -sign)
 
-    def parse_addend(self) -> LinearTerm:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return self.parse_addend().times(-1)
-        if t.kind == "int":
-            self.next()
-            k = int(t.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "*":
-                self.next()
-                nxt = self.peek()
-            if nxt.kind == "ident":
-                self.next()
-                return LinearTerm.build({self.check_var(nxt): k})
-            return LinearTerm((), k)
-        if t.kind == "ident":
-            self.next()
-            return LinearTerm.build({self.check_var(t): 1})
-        raise self.fail("expected a number or variable")
+    def parse_addend(self, coeffs: dict[str, int], sign: int) -> int:
+        toks = self.toks
+        kind, text, _ = toks[self.pos]
+        while text == "-":
+            self.pos += 1
+            sign = -sign
+            kind, text, _ = toks[self.pos]
+        if kind == "int":
+            self.pos += 1
+            k = sign * int(text)
+            if toks[self.pos][1] == "*":
+                self.pos += 1
+            tok = toks[self.pos]
+            if tok[0] != "ident":
+                return k
+        elif kind == "ident":
+            k = sign
+            tok = toks[self.pos]
+        else:
+            raise self.fail("expected a number or variable")
+        self.pos += 1
+        v = self.check_var(tok)
+        coeffs[v] = coeffs.get(v, 0) + k
+        return 0
 
     # ---- formulas ----
 
     def parse_formula(self) -> Formula:
-        f = self.parse_conj()
-        parts = [f]
-        while self.peek().kind == "kw" and self.peek().text == "or":
-            self.next()
+        parts = [self.parse_conj()]
+        while self.peek()[1] == "or":
+            self.pos += 1
             parts.append(self.parse_conj())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_conj(self) -> Formula:
         parts = [self.parse_unary()]
-        while self.peek().kind == "kw" and self.peek().text == "and":
-            self.next()
+        while self.peek()[1] == "and":
+            self.pos += 1
             parts.append(self.parse_unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "kw" and t.text == "not":
-            self.next()
+        t = self.peek()[1]
+        if t == "not":
+            self.pos += 1
             return Not(self.parse_unary())
-        if t.kind == "op" and t.text == "(":
-            self.next()
+        if t == "(":
+            self.pos += 1
             inner = self.parse_formula()
             self.expect_op(")")
             return inner
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
-        lhs = self.parse_sum()
-        t = self.peek()
-        if t.kind != "op" or t.text not in ("<=", "<", "=", ">=", ">"):
+        coeffs: dict[str, int] = {}
+        constant = self.parse_sum(coeffs)
+        _, op, op_col = self.peek()
+        if op not in _COMPARE_OPS:
             raise self.fail("expected a comparison operator")
-        op_tok = self.next()
-        rhs = self.parse_sum()
-        if self.peek().kind == "kw" and self.peek().text == "mod":
-            self.next()
-            mtok = self.peek()
-            if mtok.kind != "int":
-                raise self.fail("expected a modulus")
-            self.next()
-            if op_tok.text != "=":
-                raise ParseError(
-                    "congruences use '='", _span(self.line, op_tok.col))
-            m = int(mtok.text)
-            if m < 1:
-                raise ParseError(
-                    "modulus must be positive", _span(self.line, mtok.col))
-            return Congruence(lhs.minus(rhs), m)
-        return Comparison(lhs.minus(rhs), op_tok.text)
+        self.pos += 1
+        constant += self.parse_sum(coeffs, -1)
+        term = LinearTerm.build(coeffs, constant)
+        if self.peek()[1] != "mod":
+            return Comparison(term, op)
+        self.pos += 1
+        kind, text, col = self.peek()
+        if kind != "int":
+            raise self.fail("expected a modulus")
+        self.pos += 1
+        if op != "=":
+            raise ParseError("congruences use '='", _span(self.line, op_col))
+        m = int(text)
+        if m < 1:
+            raise ParseError("modulus must be positive", _span(self.line, col))
+        return Congruence(term, m)
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +267,9 @@ def parse_clause(line: _Line, text: str, col0: int) -> Clause:
 # machine parsing
 
 _MINSKY_RE = re.compile(r"^\s*(inc|dec|zero\?)\s+(\d+)\s*$")
+_TRANS_RE = re.compile(rf"\s*({_NAME})\s*->\s*({_NAME})\s*:")
+_MATRIX_PART_RE = re.compile(r"\s*([Ab])\s*=\s*(.*)$")
+_SCALAR_VARS = frozenset({"x", "x'"})
 
 
 def parse_machine(text: str) -> Machine:
@@ -298,9 +293,6 @@ def parse_machine(text: str) -> Machine:
         if head == "machine":
             if name is not None:
                 raise ParseError("second machine declaration", _span(line, col0))
-            if transitions or states or dim_seen:
-                raise ParseError(
-                    "machine declaration must come first", _span(line, col0))
             if not rest or " " in rest:
                 raise ParseError("expected: machine NAME", _span(line, col0))
             name = rest
@@ -340,25 +332,23 @@ def parse_machine(text: str) -> Machine:
 
 def _parse_transition(line: _Line, text: str, col0: int,
                       states: list[str], dim: int) -> Transition:
-    m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_']*)\s*->\s*([A-Za-z_][A-Za-z0-9_']*)\s*:", text)
+    m = _TRANS_RE.match(text)
     if m is None:
         raise ParseError("expected: trans SRC -> TGT : payload", _span(line, col0))
-    src, tgt = m.group(1), m.group(2)
+    src, tgt = m.group(1, 2)
     for q, pos in ((src, m.start(1)), (tgt, m.start(2))):
         if q not in states:
             raise ParseError(
                 f"state {q!r} not declared before use", _span(line, col0 + pos))
-    payload_text = text[m.end():]
-    payload_col = col0 + m.end()
-    payload = _parse_payload(line, payload_text, payload_col, dim)
+    payload = _parse_payload(line, text[m.end():], col0 + m.end(), dim)
     return Transition(src, tgt, payload)
 
 
 def _parse_payload(line: _Line, text: str, col0: int, dim: int):
     stripped = text.strip()
-    lead = col0 + (text.index(stripped[0]) if stripped else 0)
     if not stripped:
         raise ParseError("empty transition payload", _span(line, col0))
+    lead = col0 + text.index(stripped[0])
 
     mm = _MINSKY_RE.match(stripped)
     if mm is not None:
@@ -389,28 +379,25 @@ def _parse_payload(line: _Line, text: str, col0: int, dim: int):
             "scalar affine payload needs dim 1; use A = …; b = …",
             _span(line, lead))
     part, _, guard_part = text.partition(";")
-    parser = _ExprParser(line, part, col0, allowed_vars={"x", "x'"})
-    lhs = parser.peek()
-    if lhs.kind != "ident" or lhs.text != "x'":
+    parser = _ExprParser(line, part, col0, allowed_vars=_SCALAR_VARS)
+    if parser.peek()[1] != "x'":
         raise parser.fail("expected x' on the left of an affine update")
-    parser.next()
+    parser.pos += 1
     parser.expect_op("=")
-    t = parser.parse_sum()
+    coeffs: dict[str, int] = {}
+    b = parser.parse_sum(coeffs)
     if not parser.at_end():
         raise parser.fail("trailing input after affine update")
-    if t.coeff("x'") != 0:
+    if coeffs.get("x'", 0) != 0:
         raise ParseError("x' may appear only on the left", _span(line, col0))
-    a = t.coeff("x")
-    b = t.constant
     guard = None
-    if guard_part.strip():
-        gcol = col0 + len(part) + 1
-        gs = guard_part.strip()
-        gcol += guard_part.index(gs[0])
+    gs = guard_part.strip()
+    if gs:
+        gcol = col0 + len(part) + 1 + guard_part.index(gs[0])
         if not gs.startswith("guard"):
             raise ParseError("expected: ; guard [lo..hi] mod m = r", _span(line, gcol))
         guard = parse_clause(line, gs[len("guard"):], gcol + len("guard"))
-    return AffineMap1(a, b, guard)
+    return AffineMap1(coeffs.get("x", 0), b, guard)
 
 
 def _parse_matrix_payload(line: _Line, text: str, col0: int, dim: int) -> AffineMapD:
@@ -421,15 +408,15 @@ def _parse_matrix_payload(line: _Line, text: str, col0: int, dim: int) -> Affine
     specs = []
     pos = col0
     for part, label in zip(parts, ("A", "b")):
-        m = re.match(rf"^\s*{label}\s*=\s*(.*)$", part)
-        if m is None:
+        m = _MATRIX_PART_RE.match(part)
+        if m is None or m.group(1) != label:
             raise ParseError(f"expected {label} = …", _span(line, pos))
-        body = m.group(1).strip()
+        body = m.group(2).strip()
         try:
             value = json.loads(body)
         except json.JSONDecodeError as e:
             raise ParseError(
-                f"bad {label} vector/matrix: {e.msg}", _span(line, pos + m.start(1)))
+                f"bad {label} vector/matrix: {e.msg}", _span(line, pos + m.start(2)))
         specs.append(value)
         pos += len(part) + 1
     matrix, offset = specs
@@ -494,7 +481,7 @@ def parse_configuration(text: str, dimension: int | None = None) -> Configuratio
     """Parse ``state:v1,v2,…`` into a configuration."""
     state, sep, values = text.partition(":")
     state = state.strip()
-    if not sep or not re.match(r"^[A-Za-z_][A-Za-z0-9_']*$", state):
+    if not sep or not _NAME_RE.fullmatch(state):
         raise ParseError(
             f"expected STATE:VALUES, got {text!r}", SourceSpan(1, 1, 0))
     try:

@@ -43,6 +43,20 @@ class AffineMap1:
     b: int
     guard: Clause | None = None
 
+    @cached_property
+    def _domain(self) -> Clause:
+        """:func:`domain_clause`, computed once per payload."""
+        a, b = self.a, self.b
+        if a > 0:
+            dom = Clause(_cdiv(-b, a) if b < 0 else 0, None)
+        elif a == 0:
+            dom = Clause(0, None) if b >= 0 else EMPTY_CLAUSE
+        else:
+            dom = Clause(0, b // -a) if b >= 0 else EMPTY_CLAUSE
+        if self.guard is not None:
+            dom = intersect_clauses(dom, self.guard)
+        return dom
+
 
 @dataclass(frozen=True)
 class AffineMapD:
@@ -361,17 +375,10 @@ def domain_clause(p: AffineMap1) -> Clause:
 
     That is ``{n >= 0 : a*n + b >= 0}`` intersected with the guard: all of N
     or nothing when a = 0, an upward ray from ``ceil(-b / a)`` when a > 0, and
-    the interval ``[0, b // -a]`` (empty for b < 0) when a < 0.
+    the interval ``[0, b // -a]`` (empty for b < 0) when a < 0.  It is
+    computed once per payload and kept on it.
     """
-    if p.a > 0:
-        dom = Clause(_cdiv(-p.b, p.a) if p.b < 0 else 0, None)
-    elif p.a == 0:
-        dom = Clause(0, None) if p.b >= 0 else EMPTY_CLAUSE
-    else:
-        dom = Clause(0, p.b // -p.a) if p.b >= 0 else EMPTY_CLAUSE
-    if p.guard is not None:
-        dom = intersect_clauses(dom, p.guard)
-    return dom
+    return p._domain
 
 
 def negative_transitions(m: Machine) -> list[Transition]:

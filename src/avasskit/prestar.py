@@ -93,25 +93,26 @@ from .semiset import (
 
 def _affine_preimage_clause(alpha: int, beta: int, c: Clause) -> Clause:
     """{n >= 0 : alpha*n + beta is a member of the clause}, as one clause."""
-    if c.is_empty:
+    c_lo, c_hi, modulus, residue = c
+    if c_hi is not None and c_hi < c_lo:
         return EMPTY_CLAUSE
     if alpha == 0:
         return Clause(0, None) if c.member(beta) else EMPTY_CLAUSE
     if alpha > 0:
-        lo = _cdiv(c.lo - beta, alpha)
-        hi = (c.hi - beta) // alpha if c.hi is not None else None
-        rhs = c.residue - beta
+        lo = _cdiv(c_lo - beta, alpha)
+        hi = (c_hi - beta) // alpha if c_hi is not None else None
+        rhs = residue - beta
         mul = alpha
     else:
         k = -alpha
-        lo = _cdiv(beta - c.hi, k) if c.hi is not None else 0
-        hi = (beta - c.lo) // k
-        rhs = beta - c.residue
+        lo = _cdiv(beta - c_hi, k) if c_hi is not None else 0
+        hi = (beta - c_lo) // k
+        rhs = beta - residue
         mul = k
-    g = math.gcd(mul, c.modulus)
+    g = math.gcd(mul, modulus)
     if rhs % g != 0:
         return EMPTY_CLAUSE
-    m2 = c.modulus // g
+    m2 = modulus // g
     if m2 == 1:
         return Clause(max(lo, 0), hi, 1, 0)
     n0 = (rhs // g * pow(mul // g, -1, m2)) % m2

@@ -139,14 +139,14 @@ class Clause(tuple):
 
     @property
     def is_empty(self) -> bool:
-        return self.hi is not None and self.hi < self.lo
+        hi = self[1]
+        return hi is not None and hi < self[0]
 
     def member(self, n: int) -> bool:
-        if n < self.lo:
+        lo, hi, modulus, residue = self
+        if n < lo or (hi is not None and n > hi):
             return False
-        if self.hi is not None and n > self.hi:
-            return False
-        return n % self.modulus == self.residue
+        return n % modulus == residue
 
     def values(self, limit: int) -> Iterator[int]:
         """Members of the clause that are <= limit, ascending."""
@@ -170,16 +170,17 @@ EMPTY_CLAUSE = tuple.__new__(Clause, (1, 0, 1, 0))
 
 def intersect_clauses(c1: Clause, c2: Clause) -> Clause:
     """Exact intersection of two clauses (always again a single clause)."""
-    if c1.is_empty or c2.is_empty:
+    lo1, hi1, m1, r1 = c1
+    lo2, hi2, m2, r2 = c2
+    if (hi1 is not None and hi1 < lo1) or (hi2 is not None and hi2 < lo2):
         return EMPTY_CLAUSE
-    lo = max(c1.lo, c2.lo)
-    if c1.hi is None:
-        hi = c2.hi
-    elif c2.hi is None:
-        hi = c1.hi
+    lo = max(lo1, lo2)
+    if hi1 is None:
+        hi = hi2
+    elif hi2 is None:
+        hi = hi1
     else:
-        hi = min(c1.hi, c2.hi)
-    m1, r1, m2, r2 = c1.modulus, c1.residue, c2.modulus, c2.residue
+        hi = min(hi1, hi2)
     g = math.gcd(m1, m2)
     if (r2 - r1) % g != 0:
         return EMPTY_CLAUSE
@@ -210,23 +211,23 @@ class SemilinearSet:
         # a frame read off the clauses: from t on, the set repeats with period l
         t = 0
         l = 1
-        for c in self.clauses:
-            if c.hi is None:
-                t = max(t, c.lo)
-                l = math.lcm(l, c.modulus)
+        for lo, hi, modulus, _ in self.clauses:
+            if hi is None:
+                t = max(t, lo)
+                l = math.lcm(l, modulus)
             else:
-                t = max(t, c.hi + 1)
+                t = max(t, hi + 1)
         # one progression per clause below t, and one residue progression per
         # unbounded clause (since membership above T only depends on n mod
-        # c.modulus, and c.lo <= T, its residue class is fully included from T on)
+        # modulus, and lo <= T, its residue class is fully included from T on)
         fprogs = []
         rprogs = []
-        for c in self.clauses:
-            if c.hi is None:
-                fprogs.append((c.lo, t, c.modulus))
-                rprogs.append((c.residue, l, c.modulus))
+        for lo, hi, modulus, residue in self.clauses:
+            if hi is None:
+                fprogs.append((lo, t, modulus))
+                rprogs.append((residue, l, modulus))
             else:
-                fprogs.append((c.lo, c.hi + 1, c.modulus))
+                fprogs.append((lo, hi + 1, modulus))
         fmask = _mask_of(t, fprogs)
         rmask = _mask_of(l, rprogs)
         # the least period is the least rotation that maps the l-bit word of

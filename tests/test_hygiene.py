@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used there or
-exported, every exported name exists, every private def is used, every
-name the benchmark's tracer wraps exists, and every committed benchmark
-record agrees with its own runs."""
+exported, every exported name exists, every private def is used, no
+function passes a literal pattern to ``re``, every name the benchmark's
+tracer wraps exists, and every committed benchmark record agrees with its
+own runs."""
 
 from __future__ import annotations
 
@@ -98,6 +99,53 @@ def test_every_private_def_is_used():
                 own[node.name] += sum(_referenced(sub) == node.name for sub in ast.walk(node))
     assert len(defs) > 1
     assert sorted(where for name, where in defs.items() if uses[name] <= own[name]) == []
+
+
+_RE_CALLS = {"match", "search", "fullmatch", "findall", "finditer", "sub", "subn",
+             "split", "compile"}
+
+
+def _literal_pattern_calls(tree: ast.Module) -> list[int]:
+    """Lines inside functions that call ``re.<fn>`` with a literal pattern."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                    and node.func.attr in _RE_CALLS):
+                continue
+            args = node.args[:1] + [k.value for k in node.keywords if k.arg == "pattern"]
+            if any(isinstance(a, (ast.Constant, ast.JoinedStr)) for a in args):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_function_compiles_a_literal_pattern_per_call():
+    # a literal pattern passed to re.match & co. inside a function is looked
+    # up in re's cache (or compiled) on every call; it belongs in a
+    # module-level compiled pattern
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _literal_pattern_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_literal_pattern_check_sees_each_form():
+    src = (
+        "import re\n"
+        "P = re.compile(r'x')\n"
+        "def f(s, label):\n"
+        "    re.match(r'^a$', s)\n"
+        "    re.search(rf'{label}=', s)\n"
+        "    re.sub(pattern='b', repl='', string=s)\n"
+        "    P.match(s)\n"
+        "    re.match(P, s)\n"
+    )
+    assert _literal_pattern_calls(ast.parse(src)) == [4, 5, 6]
 
 
 def _change_wins(better: str, parent_runs: list[float], change_runs: list[float]) -> int:
