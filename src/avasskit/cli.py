@@ -9,7 +9,10 @@ errors), 4 an internal budget gave out (cycle cap, solver arity).
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call: argparse keeps no state of a
 parse on the parser, and it looks up ``sys.stdout`` and ``sys.stderr`` only
-when it writes, so an in-process call pays only for its verb.
+when it writes, so an in-process call pays only for its verb.  Each verb is
+declared once in :func:`build_parser`, with its handler, what its ``file``
+holds and its own options; every verb takes ``--json`` last.  :func:`main`
+parses a machine verb's file and calls the handler with the machine.
 """
 
 from __future__ import annotations
@@ -87,8 +90,7 @@ def _emit_json(obj) -> None:
 # verbs
 
 
-def _cmd_parse(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_parse(args, m: Machine) -> int:
     if args.json:
         _emit_json(machine_to_json_obj(m))
     else:
@@ -106,8 +108,7 @@ _CLASSIFY_ROWS = (
 )
 
 
-def _cmd_classify(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_classify(args, m: Machine) -> int:
     flags = classify(m)
     if args.json:
         _emit_json({label: getattr(flags, attr) for label, attr in _CLASSIFY_ROWS})
@@ -117,8 +118,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_prestar(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_prestar(args, m: Machine) -> int:
     target = Configuration(args.state, (args.value,))
     if args.upward:
         result = compute_pre_star_upward(m, UpwardTarget(target))
@@ -149,8 +149,7 @@ def _print_verdict(flag: bool, args, detail: dict | None = None) -> int:
     return 0
 
 
-def _cmd_reach(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_reach(args, m: Machine) -> int:
     src = parse_configuration(args.source, m.dimension)
     dst = parse_configuration(args.to, m.dimension)
     if args.total_positive:
@@ -160,22 +159,19 @@ def _cmd_reach(args) -> int:
     return _print_verdict(ok, args)
 
 
-def _cmd_cover(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_cover(args, m: Machine) -> int:
     src = parse_configuration(args.source, m.dimension)
     dst = parse_configuration(args.to, m.dimension)
     route = coverable_via_reduction if args.via_reduction else coverable
     return _print_verdict(route(m, src, dst), args)
 
 
-def _cmd_state_reach(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_state_reach(args, m: Machine) -> int:
     src = parse_configuration(args.source, m.dimension)
     return _print_verdict(control_state_reachable(m, src, args.state), args)
 
 
-def _cmd_wsts(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_wsts(args, m: Machine) -> int:
     verdict = is_well_structured(m)
     detail: dict = {"witness": None, "counterexample": None}
     if not verdict.well_structured:
@@ -187,8 +183,7 @@ def _cmd_wsts(args) -> int:
     return _print_verdict(verdict.well_structured, args, detail)
 
 
-def _cmd_strong_mono(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_strong_mono(args, m: Machine) -> int:
     verdict = is_strongly_monotone(m)
     detail: dict = {"witness": None}
     if not verdict.strongly_monotone:
@@ -196,7 +191,7 @@ def _cmd_strong_mono(args) -> int:
     return _print_verdict(verdict.strongly_monotone, args, detail)
 
 
-def _cmd_wqo(args) -> int:
+def _cmd_wqo(args, _) -> int:
     formula, declared = parse_formula_file(_read_file(args.file))
     if declared and len(declared) != 2:
         raise AvassKitError(
@@ -227,8 +222,7 @@ def _cmd_wqo(args) -> int:
     return 0
 
 
-def _cmd_functional(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_functional(args, m: Machine) -> int:
     report = is_functional(m)
     failures = [(t, witness) for t, ok, witness in report.entries if not ok]
     if args.json:
@@ -258,7 +252,7 @@ def _parse_tiles(text: str) -> PCPInstance:
     return PCPInstance(tuple(tiles))
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _) -> int:
     if args.what in ("n1", "n2"):
         if args.minsky is None:
             raise AvassKitError(f"gen {args.what} needs --minsky FILE")
@@ -285,8 +279,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_sim(args) -> int:
-    m = _load_machine(args.file)
+def _cmd_sim(args, m: Machine) -> int:
     src = parse_configuration(args.source, m.dimension)
     budget = Budget(max_value=args.max_value, max_configs=args.max_configs)
     if args.pre is None:
@@ -323,9 +316,13 @@ def _cmd_sim(args) -> int:
 # argument wiring
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true",
-                   help="structured output with stable keys")
+def _verb(verbs, name: str, help: str, run, reads: str | None = "machine") -> _Parser:
+    """Add a verb's subparser, its ``file`` (a machine, a formula, or none) and handler."""
+    p = verbs.add_parser(name, help=help)
+    if reads is not None:
+        p.add_argument("file")
+    p.set_defaults(run=run, reads=reads)
+    return p
 
 
 @functools.cache
@@ -338,78 +335,43 @@ def build_parser() -> _Parser:
     verbs = parser.add_subparsers(dest="verb", required=True,
                                   parser_class=_Parser, metavar="VERB")
 
-    p = verbs.add_parser("parse", help="parse a machine file and echo it back")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_parse)
+    _verb(verbs, "parse", "parse a machine file and echo it back", _cmd_parse)
+    _verb(verbs, "classify", "syntactic flavor flags of a machine", _cmd_classify)
 
-    p = verbs.add_parser("classify", help="syntactic flavor flags of a machine")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_classify)
-
-    p = verbs.add_parser("prestar",
-                         help="symbolic backward reachability of one target")
-    p.add_argument("file")
+    p = _verb(verbs, "prestar", "symbolic backward reachability of one target",
+              _cmd_prestar)
     p.add_argument("--state", required=True, metavar="Q")
     p.add_argument("--value", required=True, type=int, metavar="N")
     p.add_argument("--upward", action="store_true",
                    help="treat the target as upward-closed")
-    _add_json(p)
-    p.set_defaults(run=_cmd_prestar)
 
-    p = verbs.add_parser("reach", help="is the target configuration reachable?")
-    p.add_argument("file")
+    p = _verb(verbs, "reach", "is the target configuration reachable?", _cmd_reach)
     p.add_argument("--from", dest="source", required=True, metavar="Q:N")
     p.add_argument("--to", required=True, metavar="Q:N")
     p.add_argument("--total-positive", action="store_true",
                    help="finite-abstraction route for totally positive machines")
-    _add_json(p)
-    p.set_defaults(run=_cmd_reach)
 
-    p = verbs.add_parser("cover",
-                         help="is some configuration above the target reachable?")
-    p.add_argument("file")
+    p = _verb(verbs, "cover", "is some configuration above the target reachable?",
+              _cmd_cover)
     p.add_argument("--from", dest="source", required=True, metavar="Q:N")
     p.add_argument("--to", required=True, metavar="Q:N")
     p.add_argument("--via-reduction", action="store_true",
                    help="answer through the widening construction instead")
-    _add_json(p)
-    p.set_defaults(run=_cmd_cover)
 
-    p = verbs.add_parser("state-reach",
-                         help="is the control state reachable at all?")
-    p.add_argument("file")
+    p = _verb(verbs, "state-reach", "is the control state reachable at all?",
+              _cmd_state_reach)
     p.add_argument("--from", dest="source", required=True, metavar="Q:N")
     p.add_argument("--state", required=True, metavar="Q")
-    _add_json(p)
-    p.set_defaults(run=_cmd_state_reach)
 
-    p = verbs.add_parser("wsts",
-                         help="is the machine well-structured under <=?")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_wsts)
+    _verb(verbs, "wsts", "is the machine well-structured under <=?", _cmd_wsts)
+    _verb(verbs, "strong-mono", "does every step survive raising the source?",
+          _cmd_strong_mono)
+    _verb(verbs, "wqo", "is the relation in a formula file a wqo on N?", _cmd_wqo,
+          reads="formula")
+    _verb(verbs, "functional", "does every transition relation define a map?",
+          _cmd_functional)
 
-    p = verbs.add_parser("strong-mono",
-                         help="does every step survive raising the source?")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_strong_mono)
-
-    p = verbs.add_parser("wqo",
-                         help="is the relation in a formula file a wqo on N?")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_wqo)
-
-    p = verbs.add_parser("functional",
-                         help="does every transition relation define a map?")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(run=_cmd_functional)
-
-    p = verbs.add_parser("gen", help="emit a built machine as DSL text")
+    p = _verb(verbs, "gen", "emit a built machine as DSL text", _cmd_gen, reads=None)
     p.add_argument("what", choices=("n1", "n2", "pcp", "examples"))
     p.add_argument("--minsky", metavar="FILE",
                    help="two-counter machine file for n1/n2")
@@ -418,11 +380,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tiles", metavar="T:B,T:B,…",
                    help="tile list for pcp, binary words")
     p.add_argument("--name", metavar="NAME", help="rename the generated machine")
-    _add_json(p)
-    p.set_defaults(run=_cmd_gen)
 
-    p = verbs.add_parser("sim", help="bounded concrete exploration")
-    p.add_argument("file")
+    p = _verb(verbs, "sim", "bounded concrete exploration", _cmd_sim)
     p.add_argument("--from", dest="source", required=True, metavar="Q:N")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--post", action="store_true",
@@ -431,11 +390,12 @@ def build_parser() -> _Parser:
                        help="search a run from --from to this target")
     p.add_argument("--upward", action="store_true",
                    help="with --pre: accept anything at or above the target")
-    p.add_argument("--max-value", type=int, default=1000, metavar="V")
-    p.add_argument("--max-configs", type=int, default=200000, metavar="C")
-    _add_json(p)
-    p.set_defaults(run=_cmd_sim)
+    p.add_argument("--max-value", type=int, default=Budget.max_value, metavar="V")
+    p.add_argument("--max-configs", type=int, default=Budget.max_configs, metavar="C")
 
+    for p in verbs.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="structured output with stable keys")
     return parser
 
 
@@ -447,14 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        m = _load_machine(args.file) if args.reads == "machine" else None
+        return args.run(args, m)
     except (BudgetExceededError, ArityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (AvassKitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (AvassKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -286,14 +286,14 @@ def parse_machine(text: str) -> Machine:
         if not stripped:
             continue
         col0 = line.text.index(stripped[0])
-        head, _, rest = stripped.partition(" ")
-        rest = rest.strip()
+        head, *tail = stripped.split(None, 1)  # any whitespace ends the head
+        rest = tail[0] if tail else ""
         if name is None and head in ("dim", "state", "trans"):
             raise ParseError("machine declaration must come first", _span(line, col0))
         if head == "machine":
             if name is not None:
                 raise ParseError("second machine declaration", _span(line, col0))
-            if not rest or " " in rest:
+            if len(rest.split()) != 1:
                 raise ParseError("expected: machine NAME", _span(line, col0))
             name = rest
         elif head == "dim":

@@ -239,7 +239,7 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
         # an infinite guard with a shrinking map cannot happen for built cycles
         # (the last step's domain pullback bounds the guard); enumerate anyway,
         # up to the last value the map keeps inside N.
-        starts = list(g.values(g.hi if g.hi is not None else b // -a))
+        starts = g.values(g.hi if g.hi is not None else b // -a)
         if len(starts) > GUARD_ENUM_CAP:
             raise BudgetExceededError(
                 f"cycle guard enumeration of {len(starts)} values over budget")

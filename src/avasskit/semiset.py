@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _cdiv(a: int, b: int) -> int:
@@ -148,12 +148,10 @@ class Clause(tuple):
             return False
         return n % modulus == residue
 
-    def values(self, limit: int) -> Iterator[int]:
-        """Members of the clause that are <= limit, ascending."""
-        if self.is_empty:
-            return
-        top = limit if self.hi is None else min(limit, self.hi)
-        yield from range(self.lo, top + 1, self.modulus)
+    def values(self, limit: int) -> range:
+        """Members of the clause that are <= limit, ascending; sized without listing them."""
+        lo, hi, modulus, _ = self
+        return range(lo, (limit if hi is None else min(limit, hi)) + 1, modulus)
 
     def render(self) -> str:
         if self.is_empty:

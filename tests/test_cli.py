@@ -181,6 +181,19 @@ def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
     assert err == "error: cycle guard enumeration of 300001 values over budget\n"
 
 
+@pytest.mark.parametrize("transitions,message", [
+    ("trans q -> q : x' = -1x + 1000000\n",
+     "cycle guard enumeration of 1000001 values over budget"),
+    ("trans q -> q : x' = 1x + -20011\ntrans q -> q : x' = 2x + 1\n",
+     "growth-cycle residue analysis modulus 20011 over budget"),
+])
+def test_prestar_cycle_budgets_exit_4(capsys, tmp_path, transitions, message):
+    path = tmp_path / "loop.cm"
+    path.write_text("machine loop\ndim 1\nstate q init\n" + transitions)
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_prestar_long_translation_step_under_a_breaking_guard(capsys, tmp_path):
     # the guard's modulus 2 does not divide the step, so only one turn counts
     # and no class is walked: the step's size costs nothing
@@ -494,3 +507,96 @@ def test_one_process_answers_like_a_fresh_process_per_call(capsys, monkeypatch,
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in here] == [0] * 8 + [3, 0, 0]
     assert here == fresh
+
+
+# --- help pages and the paths the tests above do not run ----------------------
+
+VERBS = ("parse", "classify", "prestar", "reach", "cover", "state-reach", "wsts",
+         "strong-mono", "wqo", "functional", "gen", "sim")
+HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "cli_help.txt")
+
+
+def test_help_pages_match_the_golden_file(capsys, monkeypatch):
+    # argparse wraps at the terminal width: pin it as the golden file was made
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in [["-h"]] + [[verb, "-h"] for verb in VERBS]:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        pages.append(f"$ avasskit {' '.join(argv)}\n{capsys.readouterr().out}")
+    with open(HELP_GOLDEN, encoding="utf-8") as handle:
+        assert "\n".join(pages) == handle.read()
+
+
+@pytest.mark.parametrize("text,payload", [
+    ("machine mat\ndim 2\nstate q init\ntrans q -> q : A = [[1,0],[2,1]] ; b = [1,-1]\n",
+     {"kind": "affined", "matrix": [[1, 0], [2, 1]], "offset": [1, -1]}),
+    ("machine mk\ndim 2\nstate q init\ntrans q -> q : dec 2\n",
+     {"kind": "minsky", "op": "dec", "counter": 2}),
+    ("machine rel\ndim 1\nstate q init\ntrans q -> q : formula x <= x'\n",
+     {"kind": "relational", "formula": "x + -x' <= 0"}),
+])
+def test_parse_json_of_each_payload_kind(capsys, tmp_path, text, payload):
+    path = tmp_path / "m.cm"
+    path.write_text(text)
+    code, out, _ = run(capsys, "parse", str(path), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["transitions"] == [{"source": "q", "target": "q", "payload": payload}]
+
+
+def test_functional_json_lists_each_failure(capsys, tmp_path):
+    loose = tmp_path / "loose.cm"
+    loose.write_text("machine g\ndim 1\nstate q init\ntrans q -> q : formula x <= x'\n")
+    code, out, _ = run(capsys, "functional", str(loose), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "verdict": "no",
+        "failures": [{"transition": "q -> q : formula x + -x' <= 0",
+                      "witness": {"x": 0, "x'": 1, "x'2": 0}}],
+    }
+
+
+def test_gen_examples_json_is_a_list(capsys):
+    code, out, _ = run(capsys, "gen", "examples", "--json")
+    assert code == 0
+    names = [obj["name"] for obj in json.loads(out)]
+    assert len(names) == 3 and names[0] == "m1"
+
+
+def test_gen_name_needs_a_single_machine(capsys):
+    code, out, err = run(capsys, "gen", "examples", "--name", "X")
+    assert (code, out) == (3, "")
+    assert err == "error: --name applies to a single generated machine\n"
+
+
+def test_sim_path_search_json(capsys, m1_file):
+    code, out, _ = run(capsys, "sim", m1_file, "--from", "q1:0", "--pre", "q1:19",
+                       "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "yes" and obj["truncated"] is False
+    assert obj["path"][0] == "q1:0" and obj["path"][-1] == "q1:19"
+    code, out, _ = run(capsys, "sim", m1_file, "--from", "q1:10", "--pre", "q1:19",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "no", "truncated": False, "path": None}
+
+
+def test_wqo_json_not_a_quasi_ordering(capsys, tmp_path):
+    strict = tmp_path / "lt.pf"
+    strict.write_text("vars x y\nx < y\n")
+    code, out, _ = run(capsys, "wqo", str(strict), "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "not-quasi-ordering",
+                               "failed-axiom": "reflexivity",
+                               "counterexample": {"x": 0}}
+
+
+def test_wqo_needs_two_variables(capsys, tmp_path):
+    three = tmp_path / "three.pf"
+    three.write_text("vars x y z\nx <= y\n")
+    code, out, err = run(capsys, "wqo", str(three))
+    assert (code, out) == (3, "")
+    assert err == "error: the ordering test needs exactly two variables, got 3\n"

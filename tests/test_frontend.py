@@ -435,6 +435,18 @@ def test_whitespace_before_a_bad_character_is_skipped():
     assert ei.value.message == "unexpected character '@'"
     assert (ei.value.span.column, ei.value.span.offset) == (8, 7)
 
+
+def test_any_whitespace_ends_a_directive_head():
+    spaced = "machine m\ndim 1\nstate a init\nstate b\ntrans a -> b : x' = 1x + 2\n"
+    tabbed = "machine\tm\ndim\t1\nstate\ta\tinit\nstate \t b\ntrans\ta -> b : x' = 1x + 2\n"
+    assert parse_machine(tabbed) == parse_machine(spaced)
+
+
+@pytest.mark.parametrize("sep", ["\t", "\u00a0"])
+def test_machine_name_with_whitespace_is_rejected(sep):
+    assert _error_row(parse_machine, f"machine m{sep}x\n") == (
+        "expected: machine NAME", 1, 1, 0)
+
 # --- seeded machine round trip -------------------------------------------------
 
 def _random_formula(rng, names, depth):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from avasskit.presburger import (
     disj,
     dnf,
     evaluate,
+    _det,
+    _small_model_bound,
     exists_solution,
     is_quasi_ordering,
     nnf,
@@ -161,6 +164,33 @@ def test_exists_residue_combo_cap():
     f = And(tuple(Congruence(var(v), 211) for v in ("a", "b", "c", "d")))
     with pytest.raises(BudgetExceededError):
         exists_solution(f)
+
+
+def test_exists_node_budget_exhausted():
+    # x = 3, y = 2 is found only after a branch; one node is not enough
+    f = conj(eq(X.plus(Y), const(5)), eq(X.minus(Y), const(1)))
+    assert exists_solution(f) == {"x": 3, "y": 2}
+    with pytest.raises(BudgetExceededError, match="node budget exhausted"):
+        exists_solution(f, node_budget=1)
+
+
+def test_small_model_bound_past_24_rows_covers_every_subdeterminant():
+    # above 24 rows the bound is a Hadamard estimate, not an enumeration; it
+    # must still be at least (n + 1) times the largest subdeterminant
+    rng = random.Random(2203)
+    for _ in range(20):
+        vars_ = ["x", "y"][:rng.randint(1, 2)]
+        rows = [({v: rng.randint(-6, 6) for v in vars_}, rng.randint(-30, 30))
+                for _ in range(rng.randint(25, 30))]
+        mat = [[-coeffs[v] for v in vars_] + [k] for coeffs, k in rows]
+        mat += [[-1 if j == i else 0 for j in range(len(vars_))] + [0]
+                for i in range(len(vars_))]
+        ncols = len(vars_) + 1
+        largest = max(abs(_det([[mat[r][c] for c in cset] for r in rset]))
+                      for size in range(1, ncols + 1)
+                      for rset in itertools.combinations(range(len(mat)), size)
+                      for cset in itertools.combinations(range(ncols), size))
+        assert _small_model_bound(rows, vars_) >= ncols * largest
 
 
 def test_exists_against_brute_force():

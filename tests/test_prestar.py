@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -569,6 +570,31 @@ def test_cycle_star_random_constant_and_reflection():
         check_cycle_case(rng, a, b, random_guard(rng), random_set(rng))
 
 
+def test_cycle_star_finite_guard_is_sized_before_it_is_walked():
+    # the reflection x' = -x + 10^6 keeps the guard [0..10^6], past the
+    # enumeration budget; the budget check must not list its members first
+    m = Machine("big", 1, ("q",), (Transition("q", "q", AffineMap1(-1, 1_000_000)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="cycle guard enumeration of 1000001 values over budget"):
+            compute_pre_star(m, Configuration("q", (5,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_cycle_star_growth_modulus_over_budget():
+    # the 2x + 1 loop reads the set built by the -20011 loop, whose modulus
+    # is past CLASS_MODULUS_CAP
+    m = Machine("mod", 1, ("q",), (Transition("q", "q", AffineMap1(1, -20011)),
+                                   Transition("q", "q", AffineMap1(2, 1))))
+    with pytest.raises(BudgetExceededError,
+                       match="growth-cycle residue analysis modulus 20011 over budget"):
+        compute_pre_star(m, Configuration("q", (5,)))
+
+
 # --- the fixpoint ------------------------------------------------------------
 
 def test_pre_star_m1_to_q1_19_exact_sets():
@@ -789,6 +815,63 @@ def test_pre_star_long_translation_beside_a_growth_cycle():
     # runs to q:5 from values that are 0, 1 or 3 mod 7 pass 16,389 on the way
     res = check_against_bounded_explorer(m, Configuration("q", (5,)), low=9, max_value=30000)
     assert res.sets == {"q": interval(0, None), "p": interval(7, None)}
+
+
+# --- answers invariant under rewrites that keep the machine -------------------
+
+def rewrite_corpus(seed: int, count: int):
+    """Seeded machines and targets: 1-5 states, up to 3n transitions, a in
+    -2..3, b in -15..15, a fifth of the transitions guarded, and an exact or
+    an upward target."""
+    rng = random.Random(seed)
+    for i in range(count):
+        states = tuple(f"q{k}" for k in range(rng.randint(1, 5)))
+        trans = tuple(
+            Transition(rng.choice(states), rng.choice(states), AffineMap1(
+                rng.randint(-2, 3), rng.randint(-15, 15),
+                random_guard(rng) if rng.random() < 0.2 else None))
+            for _ in range(rng.randint(1, 3 * len(states))))
+        target = Configuration(rng.choice(states), (rng.randint(0, 20),))
+        yield (Machine(f"mt{i}", 1, states, trans, initial=states[0]),
+               UpwardTarget(target) if rng.random() < 0.5 else target)
+
+
+def same_machine_rewrites(m: Machine, rng: random.Random) -> list[Machine]:
+    """Five rewrites that keep every run between m's own states: shuffled
+    declarations, a duplicated transition, an unreachable state, an identity
+    self loop, and a transition split through a fresh state by an identity step."""
+    states, trans, ident = m.states, m.transitions, AffineMap1(1, 0)
+    i = rng.randrange(len(trans))
+    t = trans[i]
+    split = (Transition(t.source, "mid", t.payload), Transition("mid", t.target, ident))
+    stray = Transition("u", rng.choice(states), AffineMap1(rng.randint(-2, 3), rng.randint(-15, 15)))
+    loop_at = rng.choice(states)
+    return [Machine(m.name, 1, *parts, initial=m.initial) for parts in (
+        (tuple(rng.sample(states, len(states))), tuple(rng.sample(trans, len(trans)))),
+        (states, trans[:i] + (t,) + trans[i:]),
+        (states + ("u",), trans + (stray,)),
+        (states, trans + (Transition(loop_at, loop_at, ident),)),
+        (states + ("mid",), trans[:i] + split + trans[i + 1:]),
+    )]
+
+
+def check_rewrites_keep_answers(seed: int, count: int) -> int:
+    """Compare each corpus machine's sets on its own states with those of its
+    five rewrites; ``sweeps`` may differ.  Returns the number of comparisons."""
+    rng = random.Random(seed + 1)
+    compared = 0
+    for m, target in rewrite_corpus(seed, count):
+        pre = compute_pre_star_upward if isinstance(target, UpwardTarget) else compute_pre_star
+        want = {q: s.clauses for q, s in pre(m, target).sets.items()}
+        for rewritten in same_machine_rewrites(m, rng):
+            got = pre(rewritten, target).sets
+            assert {q: got[q].clauses for q in m.states} == want, (m, rewritten, target)
+            compared += 1
+    return compared
+
+
+def test_pre_star_answers_do_not_depend_on_how_the_machine_is_written():
+    assert check_rewrites_keep_answers(1717, 600) == 3000
 
 
 def test_pre_star_needs_affine_single_counter():
