@@ -25,13 +25,18 @@ recomputes one state at a time from two exact operations until nothing changes:
   set, where a hit covers the whole class and a residue repeats within one
   period; constant cycles (a = 0) collapse to a single membership test.
   Both enumerations walk each start's orbit in one loop,
-  :func:`_orbit_hits`.
+  :func:`_orbit_hits`, and both are sized before they are walked: past
+  ``GUARD_ENUM_CAP`` starts they raise BudgetExceededError.
 
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print, and so
 is every set it hands to a cycle after the state's first one: each
 acceleration's result is rebuilt before the next, so the clause lists the
-accelerations walk stay as short as the sets they denote.  Rebuilding keeps
+accelerations walk stay as short as the sets they denote.  An acceleration
+whose every new clause lies inside one clause of its input adds no member
+and hands back the input itself; after the state's first cycle that input
+is minimal and so its own minimal form, and only sets that grew are
+rebuilt.  Rebuilding keeps
 the members, and an acceleration's result depends only on the members of its
 input, so every set the fixpoint computes is the same without it.  Only the
 growth period, read off the clause moduli, can differ, and with it whether
@@ -79,6 +84,7 @@ from .semiset import (
     Clause,
     SemilinearSet,
     _cdiv,
+    clause_within,
     from_values,
     intersect_clauses,
     interval,
@@ -229,7 +235,10 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
 
     A value n qualifies when there is i >= 1 with every intermediate value
     n, f(n), …, f^{i-1}(n) inside the guard and f^i(n) in s, where f is the
-    cycle's composed update.
+    cycle's composed update.  When each clause of the acceleration lies
+    inside one clause of s, nothing is added and the result is ``s`` itself
+    (the same object), so a minimal s stays minimal at no cost; otherwise it
+    is ``s.union(...)``.
     """
     a, b = cycle.meta.a, cycle.meta.b
     g = cycle.guard
@@ -243,14 +252,22 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
         if len(starts) > GUARD_ENUM_CAP:
             raise BudgetExceededError(
                 f"cycle guard enumeration of {len(starts)} values over budget")
-        return s.union(_orbit_hits(a, b, g, s, starts))
+        return _join(s, _orbit_hits(a, b, g, s, starts))
     if a == 0:
-        return s.union(semilinear([g]) if s.member(b) else EMPTY)
+        return _join(s, semilinear([g]) if s.member(b) else EMPTY)
     if a == 1:
         if b == 0:
             return s
-        return s.union(_cycle_pre_translation(b, g, s))
-    return s.union(_cycle_pre_growth(a, b, g, s))
+        return _join(s, _cycle_pre_translation(b, g, s))
+    return _join(s, _cycle_pre_growth(a, b, g, s))
+
+
+def _join(s: SemilinearSet, new: SemilinearSet) -> SemilinearSet:
+    """``s ∪ new``, and ``s`` itself when each clause of ``new`` lies inside one of ``s``."""
+    held = s.clauses
+    if all(any(clause_within(x, c) for c in held) for x in new.clauses):
+        return s
+    return s.union(new)
 
 
 def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[int],
@@ -347,11 +364,15 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
             f"growth-cycle residue analysis modulus {period} over budget")
     strict_from = _cdiv(1 - b, a - 1)  # a*n + b >= n + 1 from here on
     low = max(strict_from, r, 0)
-
-    tail = semilinear(_growth_tail_clauses(a, b, g, s, low, period))
     # explicit region: guarded starts up to `low`; orbits either die on the
     # guard, repeat, or climb past `low` into the tail regime
-    return _orbit_hits(a, b, g, s, g.values(low), (low, tail)).union(tail)
+    starts = g.values(low)
+    if len(starts) > GUARD_ENUM_CAP:
+        raise BudgetExceededError(
+            f"growth-cycle low region of {len(starts)} values over budget")
+
+    tail = semilinear(_growth_tail_clauses(a, b, g, s, low, period))
+    return _orbit_hits(a, b, g, s, starts, (low, tail)).union(tail)
 
 
 def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,

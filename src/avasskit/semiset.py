@@ -22,7 +22,10 @@ members rather than of the mask's width once there are many clauses, so a
 set of tens of thousands of modulus-``L`` clauses costs one pass over ``L``.
 Clauses are rebuilt from the masks one way only, into the minimal form of
 :func:`_minimal`, which keeps the masks it was built from as the result's
-own, so a minimal set never recomputes them.
+own and marks the result minimal, so a minimal set never recomputes them
+and is its own minimal form: ``normalized()`` hands it back.
+:func:`clause_within` decides ``x ⊆ c`` for two clauses from their fields
+alone, which lets a caller see that a union would add nothing.
 """
 
 from __future__ import annotations
@@ -188,6 +191,23 @@ def intersect_clauses(c1: Clause, c2: Clause) -> Clause:
     return Clause(lo, hi, l, r)
 
 
+def clause_within(x: Clause, c: Clause) -> bool:
+    """Exact test of ``x ⊆ c``, read off the fields.
+
+    ``lo`` and a finite ``hi`` of a normalized clause are members, so ``x``
+    lies inside ``c`` iff its interval does and, unless ``x`` is a single
+    value, ``c``'s progression divides its own.
+    """
+    x_lo, x_hi, x_mod, x_res = x
+    if x_hi is not None and x_hi < x_lo:
+        return True
+    if x_lo == x_hi:
+        return c.member(x_lo)
+    lo, hi, modulus, residue = c
+    return (lo <= x_lo and (hi is None or x_hi is not None and x_hi <= hi)
+            and x_mod % modulus == 0 and x_res % modulus == residue)
+
+
 @dataclass(frozen=True)
 class SemilinearSet:
     """A finite union of clauses.  Construct via :func:`semilinear` or the helpers."""
@@ -231,9 +251,12 @@ class SemilinearSet:
         # the least period is the least rotation that maps the l-bit word of
         # rmask onto itself (it divides l); the least threshold lies just past
         # the last value below t that breaks the pattern
-        word = format(rmask, f"0{l}b")
-        d = (word + word).find(word, 1)
-        rmask &= _ones(d)
+        if l == 1:
+            d = 1
+        else:
+            word = format(rmask, f"0{l}b")
+            d = (word + word).find(word, 1)
+            rmask &= _ones(d)
         t = (fmask ^ (_replicate(rmask, d, _cdiv(t, d)) & _ones(t))).bit_length()
         return (t, d, fmask & _ones(t), rmask)
 
@@ -280,9 +303,11 @@ class SemilinearSet:
             return EMPTY
         return interval(m, None)
 
+    _is_minimal = False  # set on the sets that _minimal builds
+
     def normalized(self) -> "SemilinearSet":
-        """The minimal form of this set (see :func:`_minimal`)."""
-        return _minimal(*self._canon)
+        """The minimal form of this set (see :func:`_minimal`); a minimal set is its own."""
+        return self if self._is_minimal else _minimal(*self._canon)
 
     compact = normalized
 
@@ -322,14 +347,16 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
     canonical masks, so they get the same clauses.  The masks are those of the
     result, so it keeps them as its ``_canon`` and never recomputes them.
     """
-    finite = format(fmask, f"0{t}b")[::-1]  # finite[n] == "1" iff n < T is a member
     absorbed = 0
     tails = []
     for c in _set_bits(rmask):
-        s = start = t + ((c - t) % l)
-        while s >= l and finite[s - l] == "1":
-            s -= l
-        absorbed |= _prog_bits(s, start, l)
+        # the class's tail starts one period above its last non-member below
+        # T, or at c when it has none
+        start = t + ((c - t) % l)
+        below = _prog_bits(c, start, l)
+        gap = below & ~fmask
+        s = gap.bit_length() - 1 + l if gap else c
+        absorbed |= below >> s << s
         tails.append(Clause(s, None, l, c))
     leftover = _set_bits(fmask & ~absorbed)
     runs = []
@@ -343,8 +370,8 @@ def _minimal(t: int, l: int, fmask: int, rmask: int) -> SemilinearSet:
                 j += 1
         runs.append(Clause(leftover[i], leftover[j], step, leftover[i]))
         i = j + 1
-    out = SemilinearSet(tuple(sorted(runs + tails, key=lambda c: (c.lo, c.modulus, c.residue))))
-    out.__dict__["_canon"] = (t, l, fmask, rmask)
+    out = SemilinearSet(tuple(sorted(runs + tails, key=itemgetter(0, 2, 3))))
+    out.__dict__.update(_canon=(t, l, fmask, rmask), _is_minimal=True)
     return out
 
 

@@ -186,6 +186,8 @@ def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
      "cycle guard enumeration of 1000001 values over budget"),
     ("trans q -> q : x' = 1x + -20011\ntrans q -> q : x' = 2x + 1\n",
      "growth-cycle residue analysis modulus 20011 over budget"),
+    ("trans q -> q : x' = 2x + -1000000000\n",
+     "growth-cycle low region of 500000002 values over budget"),
 ])
 def test_prestar_cycle_budgets_exit_4(capsys, tmp_path, transitions, message):
     path = tmp_path / "loop.cm"

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used there or
 exported, every exported name exists, every private def is used, no
-function passes a literal pattern to ``re``, every name the benchmark's
+function passes a literal pattern to ``re``, only ``semiset._minimal``
+writes into an object's ``__dict__``, every name the benchmark's
 tracer wraps exists, and every committed benchmark record agrees with its
 own runs."""
 
@@ -146,6 +147,73 @@ def test_literal_pattern_check_sees_each_form():
         "    re.match(P, s)\n"
     )
     assert _literal_pattern_calls(ast.parse(src)) == [4, 5, 6]
+
+
+_DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+                  "__delitem__"}
+
+
+def _is_instance_dict(node: ast.AST) -> bool:
+    """``x.__dict__`` or ``vars(x)``."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"))
+
+
+def _writes_instance_dict(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        return any(_is_instance_dict(t) or (isinstance(t, ast.Subscript)
+                                            and _is_instance_dict(t.value))
+                   for t in targets)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        f = node.func
+        return ((f.attr in _DICT_MUTATORS and _is_instance_dict(f.value))
+                or (f.attr in ("__setattr__", "__delattr__")
+                    and isinstance(f.value, ast.Name) and f.value.id == "object"))
+    return False
+
+
+def _instance_dict_writers(tree: ast.Module) -> list[str]:
+    """Functions (or ``<module>``) that write into an object's ``__dict__`` past its setters."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name  # ast.walk meets outer functions first
+    return sorted({owner.get(node, "<module>") for node in ast.walk(tree)
+                   if _writes_instance_dict(node)})
+
+
+def test_only_minimal_writes_into_a_set_dict():
+    # _minimal marks the sets it builds as minimal and stores their masks;
+    # a set marked by any other code could be handed back by normalized()
+    # without being minimal, which would change what prestar prints.  The
+    # __post_init__ hooks normalize fields of their own frozen dataclasses.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _instance_dict_writers(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            found[path.name] = names
+    own_fields = ["__post_init__"]
+    assert found == {"generators.py": own_fields, "machine.py": own_fields,
+                     "omega.py": own_fields, "presburger.py": own_fields,
+                     "semiset.py": ["_minimal"]}
+
+
+def test_instance_dict_check_sees_each_form():
+    src = (
+        "def a(s): s.__dict__['x'] = 1\n"
+        "def b(s): s.__dict__.update(x=1)\n"
+        "def c(s): vars(s)['x'] = 1\n"
+        "def d(s): object.__setattr__(s, 'x', 1)\n"
+        "def e(s): s.__dict__ = {}\n"
+        "def f(s): return s.__dict__.get('x'), vars(s), s.x\n"
+        "def g(s):\n"
+        "    def inner(): del s.__dict__['x']\n"
+        "    return inner\n"
+    )
+    assert _instance_dict_writers(ast.parse(src)) == ["a", "b", "c", "d", "e", "inner"]
 
 
 def _change_wins(better: str, parent_runs: list[float], change_runs: list[float]) -> int:

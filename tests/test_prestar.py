@@ -385,10 +385,15 @@ def test_cycle_star_translation_with_congruence_guard_break():
 # --- cycle acceleration: randomized against the orbit oracle -----------------
 
 def check_cycle_case(rng: random.Random, a: int, b: int, guard: Clause,
-                     s: SemilinearSet, bound: int = 140) -> None:
+                     s: SemilinearSet, bound: int = 140) -> bool:
+    """Check one acceleration against the oracle; True when it handed back s itself."""
     got = pre_cycle_star(cycle(a, b, guard), s)
     symbolic = members_below(got, bound)
     simulated = cycle_pre_oracle(a, b, guard, s, bound)
+    if got is s:
+        # an acceleration that hands back its input claims to add no member
+        assert simulated - members_below(s, bound) == set(), (
+            f"identity return adds members: a={a} b={b} guard={guard} s={s.render()}")
     if symbolic != simulated:
         # a growth orbit may hit only beyond the oracle's caps; retry harder
         # before declaring the discrepancy real
@@ -398,6 +403,7 @@ def check_cycle_case(rng: random.Random, a: int, b: int, guard: Clause,
             assert (n in symbolic) == (n in deep), (
                 f"cycle mismatch at n={n}: a={a} b={b} guard={guard} "
                 f"s={s.render()} symbolic={n in symbolic}")
+    return got is s
 
 
 def random_set(rng: random.Random) -> SemilinearSet:
@@ -421,9 +427,12 @@ def random_guard(rng: random.Random, finite: bool | None = None) -> Clause:
 
 def test_cycle_star_random_translations():
     rng = random.Random(4102)
+    identities = 0
     for _ in range(250):
         b = rng.choice([x for x in range(-12, 13) if x != 0])
-        check_cycle_case(rng, 1, b, random_guard(rng), random_set(rng))
+        identities += check_cycle_case(rng, 1, b, random_guard(rng), random_set(rng))
+    # the identity return is exercised, not only allowed
+    assert identities > 0
     # Larger sets whose moduli (and the guard's) divide the step, so that
     # several clauses land in one residue class of the step.
     rng = random.Random(4119)
@@ -583,6 +592,28 @@ def test_cycle_star_finite_guard_is_sized_before_it_is_walked():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_cycle_star_growth_low_region_is_sized_before_it_is_walked():
+    # x' = 2x - b has its fixed point at b, and every guarded start up to
+    # about b is walked one by one; past the budget the low region must raise
+    # before it is listed or walked
+    m = Machine("low", 1, ("q",), (Transition("q", "q", AffineMap1(2, -10 ** 9)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="growth-cycle low region of 500000002 values over budget"):
+            compute_pre_star(m, Configuration("q", (5,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # inside the budget the low region is still walked
+    small = AffineMap1(2, -10 ** 5)
+    m = Machine("low", 1, ("q",), (Transition("q", "q", small),))
+    assert compute_pre_star(m, Configuration("q", (5,))).sets["q"] == singleton(5)
+    got = pre_cycle_star(cycle(2, -10 ** 5, domain_clause(small)), singleton(6))
+    assert got.values(10 ** 6) == [6, 50_003]
 
 
 def test_cycle_star_growth_modulus_over_budget():

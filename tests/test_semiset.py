@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -14,6 +15,7 @@ from avasskit.semiset import (
     FULL,
     Clause,
     SemilinearSet,
+    clause_within,
     from_json_obj,
     from_values,
     interval,
@@ -377,6 +379,43 @@ def test_intersect_clauses_against_oracle():
 
 # --- helpers, rendering, json ------------------------------------------------
 
+def test_clause_within_against_membership():
+    rng = random.Random(2301)
+    specials = [EMPTY_CLAUSE, Clause(7, 7), Clause(9, 9, 4, 1), Clause(0, None),
+                Clause(3, 30, 3, 0), Clause(12, None, 6, 0)]
+    clauses = specials + [random_clause(rng) for _ in range(120)]
+    bound = 40 + 40 + 2 * 12 * 7  # past every finite hi and lo, plus two periods
+    members = {c: {n for n in range(bound) if c.member(n)} for c in clauses}
+    for x in clauses:
+        for c in clauses:
+            # unbounded clauses repeat past the bound, so the window decides
+            assert clause_within(x, c) == (members[x] <= members[c]), (x, c)
+
+
+def golden_sets():
+    """2,000 seeded sets: 1,800 of random_set's kind and 200 of 4 to 24 clauses."""
+    rng = random.Random(2323)
+    for _ in range(1800):
+        yield random_set(rng)
+    for _ in range(200):
+        yield semilinear([random_clause(rng) for _ in range(rng.randint(4, 24))])
+
+
+def minimal_forms_digest(sets) -> str:
+    h = hashlib.sha256()
+    for s in sets:
+        for form in (s.normalized(), s.complement()):
+            h.update(repr([tuple(c) for c in form.clauses]).encode())
+    return h.hexdigest()
+
+
+def test_minimal_clause_lists_match_the_golden_digest():
+    # the minimal clause lists of golden_sets() and of their complements,
+    # pinned because any change to a minimal form changes what prestar prints
+    assert minimal_forms_digest(golden_sets()) == (
+        "d98b17db9083836a5a5ee36309576c3752c6a307970efae80ade1cd5a0d3b966")
+
+
 def test_from_values_merges_runs():
     s = from_values([3, 1, 2, 7, 8, 10])
     assert as_specs(s) == [(1, 3, 1, 0), (7, 8, 1, 0), (10, 10, 1, 0)]
@@ -438,6 +477,8 @@ def test_compact_preserves_membership_and_is_idempotent():
         c = s.compact()
         assert c.equal(s)
         assert c.compact() == c
+        # a minimal set is its own minimal form, not a rebuilt copy
+        assert c.normalized() is c
         # complement builds the same minimal form
         comp = s.complement()
         assert comp.normalized() == comp and comp.complement() == c
