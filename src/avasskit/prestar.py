@@ -18,12 +18,15 @@ recomputes one state at a time from two exact operations until nothing changes:
   modulus ``m`` meets each of its classes within ``|b| / gcd(|b|, m)``
   members, so the pass takes the sum over clauses of ``min(members,
   |b| / gcd(|b|, m))`` turns, at most ``GUARD_ENUM_CAP`` per clause); growth
-  cycles (a >= 2) split into an explicitly enumerated low region and one
-  bounded walk per residue class above it, with exact thresholds: measured
-  from the fixed point the orbits there grow as ``a^j``, so within
-  logarithmically many turns they all pass the largest clause bound of the
-  set, where a hit covers the whole class and a residue repeats within one
-  period; constant cycles (a = 0) collapse to a single membership test.
+  cycles (a >= 2) split into an explicitly enumerated low region and closed
+  forms above it: measured from the fixed point the orbits there grow as
+  ``a^j``, so within logarithmically many turns they all pass any bound.
+  Bounded clauses of the set are hit by preimages along one walk of the
+  guard's residue class, until every orbit is past their largest bound;
+  unbounded clauses by one walk per residue class mod the lcm of their
+  moduli and the guard's, with exact thresholds, until a hit covers the
+  whole class or a residue repeats past their largest ``lo``; constant
+  cycles (a = 0) collapse to a single membership test.
   Both enumerations walk each start's orbit in one loop,
   :func:`_orbit_hits`, and both are sized before they are walked: past
   ``GUARD_ENUM_CAP`` starts they raise BudgetExceededError.
@@ -39,8 +42,8 @@ is minimal and so its own minimal form, and only sets that grew are
 rebuilt.  Rebuilding keeps
 the members, and an acceleration's result depends only on the members of its
 input, so every set the fixpoint computes is the same without it.  Only the
-growth period, read off the clause moduli, can differ, and with it whether
-``CLASS_MODULUS_CAP`` is passed.
+growth period, read off the moduli of the unbounded clauses, can differ, and
+with it whether ``CLASS_MODULUS_CAP`` is passed.
 
 Cycles enter the fixpoint as summaries, not as paths, and each simple cycle
 is accelerated at one state only: its least state in declaration order, the
@@ -356,9 +359,16 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
 
 
 def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
-    """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard."""
+    """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard.
+
+    Starts up to ``low`` are walked one by one; above it the orbits strictly
+    increase, and :func:`_growth_tail_clauses` finds the hits in closed form.
+    The residue period is the lcm of the guard's modulus and the moduli of
+    the unbounded clauses of s: bounded clauses are hit by preimages and need
+    none, so a finite set never raises the period.
+    """
     r, gm, gr = g.lo, g.modulus, g.residue
-    period = math.lcm(gm, *(c.modulus for c in s.clauses))
+    period = math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None))
     if period > CLASS_MODULUS_CAP:
         raise BudgetExceededError(
             f"growth-cycle residue analysis modulus {period} over budget")
@@ -380,28 +390,54 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
     """Clauses over starting values u > low whose growth orbit reaches s.
 
     Values above ``low`` strictly increase and satisfy the guard's interval
-    part outright, so per starting class ``rho`` mod ``period`` one walk
-    tracks the orbit's residue ``x`` and the exact ``a^j`` and ``c_j`` (the
-    value after j turns is ``a^j*u + c_j``); a hit at turn j on a clause of s
-    gives the exact threshold clause ``ceil((lo - c_j)/a^j) <= u <=
-    (hi - c_j)//a^j``.  Two facts bound the walk.  (1) Measured from the
-    fixed point ``e = -b/(a-1)``, the orbit of ``low + 1`` grows as ``a^j``
-    (``low >= strict_from``), so after at most ``log_a(top - e) + 1`` turns
-    every start above ``low`` is past ``top``, the largest clause bound of s;
-    from there a hit covers the whole class above ``low``, and no bounded
-    clause can be hit.  (2) After that point a residue repeats within
-    ``period + 1`` turns, and no new hit can follow.  So a class stops when
-    its guard residue breaks, when the whole class is hit, or when a residue
-    seen past ``top`` repeats.
+    part outright, so the guard holds before a turn iff the orbit's residue
+    mod the guard's modulus is the guard's residue; that residue depends only
+    on the start's, and every start has the guard's.  After j turns the value
+    is ``a^j*u + c_j``, with ``a^j`` and ``c_j`` kept exact.  Measured from
+    the fixed point ``e = -b/(a-1)``, the orbit of ``low + 1`` grows as
+    ``a^j`` (``low >= strict_from``), so every start above ``low`` passes any
+    bound within logarithmically many turns.
+
+    * Bounded clauses are hit by preimages, along one walk of the guard's
+      residue class: at turn j, the starts that land in clause ``c`` are the
+      guarded starts above ``low`` in ``_affine_preimage_clause(a^j, c_j, c)``.
+      The walk stops when the guard's residue breaks or when the least start
+      is past the largest ``hi``, after which no bounded clause can be hit.
+    * Unbounded clauses are hit by residues: per starting class ``rho`` mod
+      ``period`` (the lcm of their moduli and the guard's), one walk tracks
+      the orbit's residue ``x``, and a hit at turn j gives the threshold
+      clause ``u >= ceil((lo - c_j)/a^j)``.  Once every start is past
+      ``top``, the largest ``lo``, a hit covers the whole class above
+      ``low`` and depends on ``x`` alone, so a residue repeats within
+      ``period + 1`` turns and no new hit can follow.  A class stops when its
+      guard residue breaks, when the whole class is hit, or when a residue
+      seen past ``top`` repeats.
     """
-    top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
+    gm, gr = g.modulus, g.residue
     out: list[Clause] = []
-    for rho in range(g.residue, period, g.modulus):
+    bounded = [c for c in s.clauses if c.hi is not None]
+    if bounded:
+        guarded = Clause(low + 1, None, gm, gr)
+        top = max(c.hi for c in bounded)
+        x, pj, cj = gr, 1, 0
+        while x == gr:
+            x = (a * x + b) % gm
+            pj, cj = pj * a, a * cj + b
+            least = pj * (low + 1) + cj
+            if least > top:
+                break
+            out += [intersect_clauses(guarded, _affine_preimage_clause(pj, cj, c))
+                    for c in bounded if c.hi >= least]
+    unbounded = [c for c in s.clauses if c.hi is None]
+    if not unbounded:
+        return out
+    top = max(c.lo for c in unbounded)
+    for rho in range(gr, period, gm):
         whole = Clause(low + 1, None, period, rho)
         x, pj, cj = rho, 1, 0
         found: dict[Clause, None] = {}  # an ordered set
         later: set[int] = set()  # residues seen once every start is past `top`
-        while x % g.modulus == g.residue and whole not in found:
+        while x % gm == gr and whole not in found:
             x = (a * x + b) % period
             pj, cj = pj * a, a * cj + b
             if pj * (low + 1) + cj > top:
@@ -409,9 +445,8 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
                     break
                 later.add(x)
             found.update(dict.fromkeys(
-                Clause(max(low + 1, _cdiv(c.lo - cj, pj)),
-                       None if c.hi is None else (c.hi - cj) // pj, period, rho)
-                for c in s.clauses if x % c.modulus == c.residue))
+                Clause(max(low + 1, _cdiv(c.lo - cj, pj)), None, period, rho)
+                for c in unbounded if x % c.modulus == c.residue))
         out += [whole] if whole in found else list(found)
     return out
 

@@ -297,12 +297,6 @@ class SemilinearSet:
             return None
         return min(c.lo for c in self.clauses)
 
-    def upward_closure(self) -> "SemilinearSet":
-        m = self.min_element()
-        if m is None:
-            return EMPTY
-        return interval(m, None)
-
     _is_minimal = False  # set on the sets that _minimal builds
 
     def normalized(self) -> "SemilinearSet":

@@ -196,6 +196,15 @@ def test_prestar_cycle_budgets_exit_4(capsys, tmp_path, transitions, message):
     assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
+def test_prestar_growth_cycle_over_far_apart_values_answers(capsys, tmp_path):
+    # {6, 50003} is written as one progression of modulus 49,997; a bounded
+    # clause sets no growth period, so the modulus cap is not reached
+    path = tmp_path / "loop.cm"
+    path.write_text("machine loop\ndim 1\nstate q init\ntrans q -> q : x' = 2x + -100000\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "6")
+    assert (code, out, err) == (0, "q: [6..50003] mod 49997 = 6\n", "")
+
+
 def test_prestar_long_translation_step_under_a_breaking_guard(capsys, tmp_path):
     # the guard's modulus 2 does not divide the step, so only one turn counts
     # and no class is walked: the step's size costs nothing

@@ -532,8 +532,9 @@ def test_cycle_star_random_growth():
         check_cycle_case(rng, a, b, random_guard(rng), random_set(rng))
     # Wider draws: clause bounds up to 900 and moduli up to 12.  Every third
     # draw checks past the largest clause bound, so the thresholds of hits
-    # made before the orbits pass it are checked too; a period past the
-    # class modulus cap must raise.
+    # made before the orbits pass it are checked too; a period (the lcm of
+    # the guard's modulus and those of the unbounded clauses) past the class
+    # modulus cap must raise.
     rng = random.Random(4107)
     for i in range(300):
         a = rng.randint(2, 5)
@@ -545,8 +546,8 @@ def test_cycle_star_random_growth():
             clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 900)]), m, rng.randrange(m)))
         s = semilinear(clauses)
         top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
-        if guard.hi is None and math.lcm(guard.modulus, *(c.modulus for c in s.clauses)) \
-                > CLASS_MODULUS_CAP:
+        period = math.lcm(guard.modulus, *(c.modulus for c in s.clauses if c.hi is None))
+        if guard.hi is None and period > CLASS_MODULUS_CAP:
             with pytest.raises(BudgetExceededError):
                 pre_cycle_star(cycle(a, b, guard), s)
             continue
@@ -561,6 +562,74 @@ def test_cycle_star_growth_with_a_long_period():
     got = pre_cycle_star(cycle(2, 1, Clause(0, None)), s)
     assert members_below(got, 1100) == cycle_pre_oracle(
         2, 1, Clause(0, None), s, 1100, step_cap=6000, value_cap=10 ** 240)
+
+
+def test_cycle_star_growth_over_far_apart_bounded_clauses():
+    # bounded clauses whose members lie up to 60,000 apart are hit by
+    # preimages and add nothing to the residue period, so every draw answers
+    rng = random.Random(4121)
+    for _ in range(30):
+        a, b = rng.randint(2, 5), rng.randint(-60, 40)
+        clauses = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                m, lo = rng.randint(1, 60_000), rng.randint(0, 200)
+                clauses.append(Clause(lo, lo + m * rng.randint(0, 3), m, lo))
+            else:
+                m = rng.randint(1, 12)
+                clauses.append(Clause(rng.randint(0, 200), None, m, rng.randrange(m)))
+        s = semilinear(clauses)
+        top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
+        check_cycle_case(rng, a, b, random_guard(rng, finite=False), s, min(top + 50, 3000))
+
+
+def class_by_class_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
+    """Reference for the growth acceleration: one residue walk per class mod
+    the lcm of the guard's modulus and every clause modulus, bounded clauses
+    hit through their residues like unbounded ones."""
+    r, gm, gr = g.lo, g.modulus, g.residue
+    period = math.lcm(gm, *(c.modulus for c in s.clauses))
+    low = max(-((b - 1) // (a - 1)), r, 0)
+    top = max(c.lo if c.hi is None else c.hi for c in s.clauses)
+    tail: list[Clause] = []
+    for rho in range(gr, period, gm):
+        whole = Clause(low + 1, None, period, rho)
+        x, pj, cj = rho, 1, 0
+        found: dict[Clause, None] = {}
+        later: set[int] = set()
+        while x % gm == gr and whole not in found:
+            x = (a * x + b) % period
+            pj, cj = pj * a, a * cj + b
+            if pj * (low + 1) + cj > top:
+                if x in later:
+                    break
+                later.add(x)
+            found.update(dict.fromkeys(
+                Clause(max(low + 1, -((cj - c.lo) // pj)),
+                       None if c.hi is None else (c.hi - cj) // pj, period, rho)
+                for c in s.clauses if x % c.modulus == c.residue))
+        tail += [whole] if whole in found else list(found)
+    tail_set = semilinear(tail)
+    return prestar._orbit_hits(a, b, g, s, g.values(low), (low, tail_set)).union(tail_set)
+
+
+def test_cycle_star_growth_matches_the_class_by_class_reference():
+    # exact beyond any oracle window: the same minimal clauses as the walk
+    # that reads its period off every clause, bounded ones included
+    rng = random.Random(4122)
+    for _ in range(1500):
+        a, b = rng.randint(2, 5), rng.randint(-40, 40)
+        gm = rng.choice([1, 1, 2, 3, 4, 6])
+        guard = Clause(rng.randint(0, 12), None, gm, rng.randrange(gm))
+        clauses = []
+        for _ in range(rng.randint(1, 4)):
+            m, lo = rng.choice([1, 2, 3, 4, 6, 12]), rng.randint(0, 200)
+            clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 900)]),
+                                  m, rng.randrange(m)))
+        s = semilinear(clauses)
+        got = prestar._cycle_pre_growth(a, b, guard, s)
+        want = class_by_class_growth(a, b, guard, s)
+        assert got.normalized().clauses == want.normalized().clauses, (a, b, guard, s.render())
 
 
 def test_cycle_star_random_finite_guards():
@@ -613,6 +682,15 @@ def test_cycle_star_growth_low_region_is_sized_before_it_is_walked():
     m = Machine("low", 1, ("q",), (Transition("q", "q", small),))
     assert compute_pre_star(m, Configuration("q", (5,))).sets["q"] == singleton(5)
     got = pre_cycle_star(cycle(2, -10 ** 5, domain_clause(small)), singleton(6))
+    assert got.values(10 ** 6) == [6, 50_003]
+
+
+def test_pre_star_growth_cycle_over_two_far_apart_values():
+    # the minimal form of {6, 50003} is one progression of modulus 49,997,
+    # past CLASS_MODULUS_CAP; a bounded clause sets no growth period
+    m = Machine("far", 1, ("q",), (Transition("q", "q", AffineMap1(2, -100_000)),))
+    got = compute_pre_star(m, Configuration("q", (6,))).sets["q"]
+    assert got.clauses == (Clause(6, 50_003, 49_997, 6),)
     assert got.values(10 ** 6) == [6, 50_003]
 
 

@@ -18,7 +18,6 @@ from avasskit.semiset import (
     clause_within,
     from_json_obj,
     from_values,
-    interval,
     intersect_clauses,
     semilinear,
     singleton,
@@ -181,22 +180,6 @@ def test_min_element_examples():
     assert s.min_element() == 14
     assert singleton(0).min_element() == 0
     assert EMPTY.min_element() is None
-
-
-def test_upward_closure_example():
-    s = semilinear([Clause(13, None, 3, 1)])
-    up = s.upward_closure()
-    assert up.equal(interval(13, None))
-    assert up.clauses[0].modulus == 1
-
-
-def test_upward_closure_idempotent_extensive():
-    rng = random.Random(7)
-    for _ in range(50):
-        s = random_set(rng)
-        up = s.upward_closure()
-        assert s.subset(up)
-        assert up.upward_closure().equal(up)
 
 
 # --- canonical form ----------------------------------------------------------
