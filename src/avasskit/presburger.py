@@ -9,6 +9,8 @@ arities the rest of the package needs:
   of at most four variables?  Decided per DNF clause by splitting congruence
   variables into residue classes and searching the remaining inequality system
   inside a small-model box (subdeterminant bound) with interval propagation.
+  A system that one sweep of that propagation refutes from the unbounded box
+  is answered without computing the bound.
 * ``is_functional`` / ``is_quasi_ordering`` — reductions to ``exists_solution``.
 * ``is_wqo`` — is a quasi-ordering relation on the naturals a well
   quasi-ordering?  Decided by an asymptotic analysis of each DNF clause along
@@ -343,6 +345,60 @@ def _small_model_bound(rows: list[tuple[dict[str, int], int]], vars_: list[str])
     return (n + 1) * best
 
 
+def _tighten(
+    rows: list[tuple[dict[str, int], int]],
+    lo: dict[str, int],
+    hi: dict[str, int],
+) -> bool | None:
+    """One sweep of interval tightening over ``sum c_v * v + k >= 0`` rows.
+
+    Narrows ``lo`` and ``hi`` in place.  A variable missing from ``hi`` has no
+    upper bound yet; a term that needs it gives no bound for the row's other
+    variables.  Returns None once some variable's lower bound passes its upper
+    bound, else whether any bound moved.
+    """
+    changed = False
+    for coeffs, k in rows:
+        # the row's largest value over the box, less the one term whose upper
+        # bound is unknown; with two such terms the row bounds nothing
+        top, unknown = k, None
+        for w, cw in coeffs.items():
+            if cw < 0:
+                top += cw * lo[w]
+            elif w in hi:
+                top += cw * hi[w]
+            elif unknown is None:
+                unknown = w
+            else:
+                break
+        else:
+            # cv * v + rest >= 0 must be satisfiable inside the box, where rest
+            # is top less v's own term; narrowing v moves the end of its
+            # interval that top does not read, so top holds for the whole row
+            for v, cv in coeffs.items():
+                if cv > 0:
+                    if unknown is None:
+                        rest = top - cv * hi[v]
+                    elif v == unknown:
+                        rest = top
+                    else:
+                        continue
+                    need = -(rest // cv)
+                    if need > lo[v]:
+                        lo[v] = need
+                        changed = True
+                        if v in hi and need > hi[v]:
+                            return None
+                elif unknown is None:
+                    cap = (top - cv * lo[v]) // -cv
+                    if v not in hi or cap < hi[v]:
+                        hi[v] = cap
+                        changed = True
+                        if lo[v] > cap:
+                            return None
+    return changed
+
+
 def _solve_rows(
     rows: list[tuple[dict[str, int], int]],
     vars_: list[str],
@@ -352,6 +408,14 @@ def _solve_rows(
 
     A row with no variables and a negative constant makes the system
     unsatisfiable whatever the other rows say, so that is checked first.
+    Then one sweep of ``_tighten`` from lower bounds 0 and no upper bounds
+    refutes a system whose rows alone empty some variable's interval, without
+    paying for ``_small_model_bound``.  This is exact: each tightening step is
+    monotone in the box, so the first sweep of the search's own propagation,
+    which takes the same steps from the smaller box [0, bound], empties the
+    same variable at the same step or earlier and returns None before it
+    spends a node.  A system the sweep does not refute is searched exactly as
+    without it, from the box [0, bound].
     """
     if any(k < 0 for coeffs, k in rows if not coeffs):
         return None
@@ -359,35 +423,16 @@ def _solve_rows(
         return {}
     if not rows:
         return {v: 0 for v in vars_}
+    if _tighten(rows, dict.fromkeys(vars_, 0), {}) is None:
+        return None
     bound = _small_model_bound(rows, vars_)
     lo = {v: 0 for v in vars_}
     hi = {v: bound for v in vars_}
 
     def propagate(lo: dict, hi: dict) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for coeffs, k in rows:
-                for v, cv in coeffs.items():
-                    rest = k
-                    for w, cw in coeffs.items():
-                        if w == v:
-                            continue
-                        rest += cw * (hi[w] if cw > 0 else lo[w])
-                    # cv * v + rest >= 0 must be satisfiable inside the box
-                    if cv > 0:
-                        need = _cdiv(-rest, cv)
-                        if need > lo[v]:
-                            lo[v] = need
-                            changed = True
-                    else:
-                        cap = rest // -cv
-                        if cap < hi[v]:
-                            hi[v] = cap
-                            changed = True
-                    if lo[v] > hi[v]:
-                        return False
-        return True
+        while (moved := _tighten(rows, lo, hi)):
+            pass
+        return moved is not None
 
     def dfs(lo: dict, hi: dict) -> dict | None:
         if not propagate(lo, hi):

@@ -9,6 +9,7 @@ four-step path for a value the pinned tables miss).  Everything else must
 pass.
 """
 
+import hashlib
 import random
 import time
 
@@ -42,13 +43,16 @@ from avasskit.machine import (
 )
 from avasskit.omega import abstract, apply_abstract, reachable_totally_positive
 from avasskit.presburger import (
+    COMPARE_OPS,
     And,
     Comparison,
     Congruence,
+    LinearTerm,
     Not,
     Or,
     const,
     evaluate,
+    exists_solution,
     is_functional,
     is_wqo,
     var,
@@ -283,28 +287,17 @@ def _has_ascending_pair(f, seq) -> bool:
     return False
 
 
-def test_criterion_6_wqo_suite():
-    start = time.monotonic()
-    leq = parse_formula("x <= y")
-    geq = parse_formula("y <= x")
-    leq_parity = parse_formula("x <= y and x = y mod 2")
-    assert is_wqo(leq).kind == "wqo"
-    assert is_wqo(geq).kind == "not-wqo"
-    assert is_wqo(leq_parity).kind == "wqo"
-
-    rng = random.Random(20260406)
-    corpus = [
-        (leq, is_wqo(leq)),
-        (geq, is_wqo(geq)),
-        (leq_parity, is_wqo(leq_parity)),
-        # two related classes: wqo
-        (parse_formula("x = y mod 2"), None),
-        # reverse order: not-wqo
-        (parse_formula("y <= x and x = y mod 2"), None),
-        # infinite antichain: not-wqo
-        (parse_formula("x = y"), None),
+def criterion_6_corpus(rng: random.Random) -> list:
+    """The 46 relations of criterion 6, each with its ``is_wqo`` verdict."""
+    texts = [
+        "x <= y",
+        "y <= x",
+        "x <= y and x = y mod 2",
+        "x = y mod 2",  # two related classes: wqo
+        "y <= x and x = y mod 2",  # reverse order: not-wqo
+        "x = y",  # infinite antichain: not-wqo
     ]
-    corpus = [(f, v if v is not None else is_wqo(f, X, "y")) for f, v in corpus]
+    corpus = [(f, is_wqo(f, X, "y")) for f in map(parse_formula, texts)]
     # Random relations may legitimately exhaust the solver's node budget
     # (that is a declared error, not a verdict); redraw those, but cap the
     # redraws so a systematic blowup still fails here.
@@ -316,6 +309,15 @@ def test_criterion_6_wqo_suite():
         except BudgetExceededError:
             budget_errors += 1
             assert budget_errors <= 5, f
+    return corpus
+
+
+def test_criterion_6_wqo_suite():
+    start = time.monotonic()
+    rng = random.Random(20260406)
+    corpus = criterion_6_corpus(rng)
+    # x <= y, y <= x, and x <= y refined by parity
+    assert [v.kind for _, v in corpus[:3]] == ["wqo", "not-wqo", "wqo"]
     wqo_count = not_wqo_count = 0
     for f, verdict in corpus:
         if verdict.kind == "not-wqo":
@@ -341,6 +343,50 @@ def test_criterion_6_wqo_suite():
     # the corpus must exercise both interesting verdicts
     assert wqo_count >= 3 and not_wqo_count >= 3
     assert time.monotonic() - start < 60.0
+
+
+def random_solver_formula(rng: random.Random):
+    """A boolean combination of 1-4 atoms over 1-4 of x, y, z, w."""
+    names = ("x", "y", "z", "w")[:rng.randint(1, 4)]
+
+    def atom():
+        term = LinearTerm.build({v: rng.randint(-3, 3) for v in names},
+                                rng.randint(-10, 10))
+        if rng.random() < 0.25:
+            return Congruence(term, rng.randint(2, 4))
+        return Comparison(term, rng.choice(COMPARE_OPS))
+
+    f = atom()
+    for _ in range(rng.randint(0, 3)):
+        g = atom()
+        if rng.random() < 0.3:
+            g = Not(g)
+        f = And((f, g)) if rng.random() < 0.6 else Or((f, g))
+    return f
+
+
+def solver_answers_digest(formulas, relations) -> str:
+    h = hashlib.sha256()
+    for f in formulas:
+        try:
+            got = exists_solution(f, node_budget=20_000)
+        except BudgetExceededError as e:
+            got = str(e)
+        h.update(repr(got).encode())
+    for f, verdict in relations:
+        h.update(repr(verdict).encode())
+    return h.hexdigest()
+
+
+def test_solver_answers_match_the_golden_digest():
+    # the answers of 300 seeded formulas (a witness or None) and the wqo
+    # verdicts of criterion 6, pinned because the solver promises no
+    # particular witness and a faster search may find another one
+    rng = random.Random(2729)
+    formulas = [random_solver_formula(rng) for _ in range(300)]
+    relations = criterion_6_corpus(random.Random(20260406))
+    assert solver_answers_digest(formulas, relations) == (
+        "6acf10137b696f78af91048d3f9d992bc971863e0803f0d8fc29ea4d7dc709de")
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from avasskit import presburger
 from avasskit.errors import ArityError, BudgetExceededError
 from avasskit.presburger import (
     And,
@@ -24,6 +25,8 @@ from avasskit.presburger import (
     evaluate,
     _det,
     _small_model_bound,
+    _solve_rows,
+    _tighten,
     exists_solution,
     is_quasi_ordering,
     nnf,
@@ -250,3 +253,139 @@ def test_rename_is_simultaneous():
     g = rename(f, {"x": "y", "y": "x"})
     assert evaluate(g, {"x": 3, "y": 1})
     assert not evaluate(g, {"x": 1, "y": 3})
+
+
+# --- the refuting sweep before the small-model bound --------------------------
+
+def solve_rows_without_sweep(rows, vars_, node_budget):
+    """The search of ``_solve_rows`` with no sweep before the bound."""
+    if any(k < 0 for coeffs, k in rows if not coeffs):
+        return None
+    if not vars_:
+        return {}
+    if not rows:
+        return {v: 0 for v in vars_}
+    bound = presburger._small_model_bound(rows, vars_)
+
+    def propagate(lo, hi):
+        changed = True
+        while changed:
+            changed = False
+            for coeffs, k in rows:
+                for v, cv in coeffs.items():
+                    rest = k + sum(cw * (hi[w] if cw > 0 else lo[w])
+                                   for w, cw in coeffs.items() if w != v)
+                    if cv > 0:
+                        need = -(rest // cv)
+                        if need > lo[v]:
+                            lo[v], changed = need, True
+                    elif rest // -cv < hi[v]:
+                        hi[v], changed = rest // -cv, True
+                    if lo[v] > hi[v]:
+                        return False
+        return True
+
+    def dfs(lo, hi):
+        if not propagate(lo, hi):
+            return None
+        open_vars = [v for v in vars_ if lo[v] < hi[v]]
+        if not open_vars:
+            ok = all(sum(c * lo[v] for v, c in coeffs.items()) + k >= 0
+                     for coeffs, k in rows)
+            return dict(lo) if ok else None
+        v = min(open_vars, key=lambda v: hi[v] - lo[v])
+        for val in range(lo[v], hi[v] + 1):
+            node_budget[0] -= 1
+            if node_budget[0] < 0:
+                raise BudgetExceededError("existential solver node budget exhausted")
+            got = dfs({**lo, v: val}, {**hi, v: val})
+            if got is not None:
+                return got
+        return None
+
+    return dfs({v: 0 for v in vars_}, {v: bound for v in vars_})
+
+
+def random_row_system(rng: random.Random):
+    """1-4 variables, 1-6 rows, coefficients -3..3, constants -10..10."""
+    vars_ = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {v: c for v in vars_ if (c := rng.randint(-3, 3))}
+        rows.append((coeffs, rng.randint(-10, 10)))
+    return rows, vars_
+
+
+def solve_outcome(solve, rows, vars_, budget):
+    left = [budget]
+    try:
+        return solve(rows, vars_, left), left[0], None
+    except BudgetExceededError as e:
+        return None, left[0], str(e)
+
+
+def test_refuting_sweep_changes_no_result_budget_or_error(monkeypatch):
+    # both paths read one bound per system, computed once
+    bounds = {}
+
+    def cached(rows, vars_):
+        key = repr((rows, vars_))
+        if key not in bounds:
+            bounds[key] = _small_model_bound(rows, vars_)
+        return bounds[key]
+
+    monkeypatch.setattr(presburger, "_small_model_bound", cached)
+    rng = random.Random(2727)
+    refuted = 0
+    for _ in range(2000):
+        rows, vars_ = random_row_system(rng)
+        budget = rng.choice((5, 50, 500_000))
+        want = solve_outcome(solve_rows_without_sweep, rows, vars_, budget)
+        assert solve_outcome(_solve_rows, rows, vars_, budget) == want, rows
+        refuted += _tighten(rows, dict.fromkeys(vars_, 0), {}) is None
+    # the family must exercise the sweep, not only the search
+    assert refuted > 500
+
+
+def test_refuting_sweep_refutes_only_systems_without_solutions():
+    rng = random.Random(2728)
+    refuted = 0
+    for _ in range(500):
+        rows, vars_ = random_row_system(rng)
+        if _tighten(rows, dict.fromkeys(vars_, 0), {}) is not None:
+            continue
+        refuted += 1
+        for point in itertools.product(range(13), repeat=len(vars_)):
+            env = dict(zip(vars_, point))
+            assert not all(sum(c * env[v] for v, c in coeffs.items()) + k >= 0
+                           for coeffs, k in rows), (rows, env)
+    assert refuted > 100
+
+
+def test_refuting_sweep_skips_the_small_model_bound(monkeypatch):
+    calls = []
+
+    def counting(rows, vars_):
+        calls.append(rows)
+        return _small_model_bound(rows, vars_)
+
+    monkeypatch.setattr(presburger, "_small_model_bound", counting)
+    # x + y <= 2 and x >= 3: the sweep raises x to 3 and caps it at 2
+    f = conj(leq(X.plus(Y), const(2)), Comparison(X.shifted(-3), ">="))
+    assert exists_solution(f) is None
+    assert calls == []
+    # a system the sweep cannot refute still pays for the bound
+    assert exists_solution(conj(leq(X.plus(Y), const(2)),
+                                Comparison(X.shifted(-1), ">="))) == {"x": 1, "y": 0}
+    assert len(calls) == 1
+
+
+def test_refuting_sweep_takes_no_bound_from_an_unknown_upper_bound():
+    # x - y - 1 >= 0 and y - x - 1 >= 0 has no solution, but with no upper
+    # bound for either variable no sweep can say so: each only raises the
+    # other's lower bound, so the sweep must stop after one pass
+    rows = [({"x": 1, "y": -1}, -1), ({"x": -1, "y": 1}, -1)]
+    lo, hi = {"x": 0, "y": 0}, {}
+    assert _tighten(rows, lo, hi) is True
+    assert lo == {"x": 1, "y": 2} and hi == {}
+    assert _solve_rows(rows, ["x", "y"], [500_000]) is None
