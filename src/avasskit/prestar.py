@@ -21,12 +21,12 @@ recomputes one state at a time from two exact operations until nothing changes:
   cycles (a >= 2) split into an explicitly enumerated low region and closed
   forms above it: measured from the fixed point the orbits there grow as
   ``a^j``, so within logarithmically many turns they all pass any bound.
-  Bounded clauses of the set are hit by preimages along one walk of the
-  guard's residue class, until every orbit is past their largest bound;
-  unbounded clauses by one walk per residue class mod the lcm of their
-  moduli and the guard's, with exact thresholds, until a hit covers the
-  whole class or a residue repeats past their largest ``lo``; constant
-  cycles (a = 0) collapse to a single membership test.
+  Every clause of the set is hit by preimages along one walk of the
+  guard's residue class; once every orbit is past the clauses' largest
+  bound, a hit depends only on the turn's update ``(a^j, c_j)`` mod the lcm
+  of the guard's modulus and the unbounded clauses' moduli, and the walk
+  stops when that key repeats; constant cycles (a = 0) collapse to a single
+  membership test.
   Both enumerations walk each start's orbit in one loop,
   :func:`_orbit_hits`, and both are sized before they are walked: past
   ``GUARD_ENUM_CAP`` starts they raise BudgetExceededError.
@@ -391,64 +391,62 @@ def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
 
     Values above ``low`` strictly increase and satisfy the guard's interval
     part outright, so the guard holds before a turn iff the orbit's residue
-    mod the guard's modulus is the guard's residue; that residue depends only
-    on the start's, and every start has the guard's.  After j turns the value
-    is ``a^j*u + c_j``, with ``a^j`` and ``c_j`` kept exact.  Measured from
-    the fixed point ``e = -b/(a-1)``, the orbit of ``low + 1`` grows as
-    ``a^j`` (``low >= strict_from``), so every start above ``low`` passes any
-    bound within logarithmically many turns.
+    mod the guard's modulus is the guard's residue.  Every start has the
+    guard's residue, so that residue after j turns is the same for all of
+    them: one walk of the guard's class decides the guard for every start.
+    After j turns a start u is at ``a^j*u + c_j`` (both kept exact), so the
+    starts that land in clause ``c`` are the guarded starts above ``low`` in
+    ``_affine_preimage_clause(a^j, c_j, c)``.  The walk takes that preimage
+    of every live clause (unbounded, or with ``hi`` at least the least
+    start's value) and cuts the distinct ones to the guarded class at the
+    end; it stops at once if one holds the whole guarded class.
+    Of the unbounded clauses of one residue class it walks only the one with
+    the least ``lo``, which holds the others.
 
-    * Bounded clauses are hit by preimages, along one walk of the guard's
-      residue class: at turn j, the starts that land in clause ``c`` are the
-      guarded starts above ``low`` in ``_affine_preimage_clause(a^j, c_j, c)``.
-      The walk stops when the guard's residue breaks or when the least start
-      is past the largest ``hi``, after which no bounded clause can be hit.
-    * Unbounded clauses are hit by residues: per starting class ``rho`` mod
-      ``period`` (the lcm of their moduli and the guard's), one walk tracks
-      the orbit's residue ``x``, and a hit at turn j gives the threshold
-      clause ``u >= ceil((lo - c_j)/a^j)``.  Once every start is past
-      ``top``, the largest ``lo``, a hit covers the whole class above
-      ``low`` and depends on ``x`` alone, so a residue repeats within
-      ``period + 1`` turns and no new hit can follow.  A class stops when its
-      guard residue breaks, when the whole class is hit, or when a residue
-      seen past ``top`` repeats.
+    Measured from the fixed point ``e = -b/(a-1)``, the orbit of ``low + 1``
+    grows as ``a^j`` (``low >= strict_from``), so within logarithmically
+    many turns the least start is past ``top``, the largest ``hi`` of a
+    bounded clause and ``lo`` of an unbounded one.  From there no bounded
+    clause is live, every unbounded threshold is at most ``low + 1``, and a
+    hit and the guard's residue depend only on the key ``(a^j, c_j)`` mod
+    ``period`` (the lcm of the guard's modulus and the unbounded clauses'
+    moduli).  The next key is a function of the current one, so a repeated
+    key replays hits already taken and the walk stops.  Per prime power
+    ``p^k`` of ``period`` the key is periodic from turn ``k`` on, with period
+    at most ``p^k``, so a key repeats within about ``period`` turns.
     """
     gm, gr = g.modulus, g.residue
+    guarded = Clause(low + 1, None, gm, gr)
+    live: list[Clause] = []  # bounded clauses, then the unbounded ones walked
+    least_lo: dict[tuple[int, int], Clause] = {}  # (modulus, residue) -> unbounded clause
+    for c in s.clauses:
+        if c.hi is not None:
+            live.append(c)
+        elif least_lo.setdefault((c.modulus, c.residue), c).lo > c.lo:
+            least_lo[(c.modulus, c.residue)] = c
+    live += least_lo.values()
+    top = max([c.lo if c.hi is None else c.hi for c in live], default=0)
     out: list[Clause] = []
-    bounded = [c for c in s.clauses if c.hi is not None]
-    if bounded:
-        guarded = Clause(low + 1, None, gm, gr)
-        top = max(c.hi for c in bounded)
-        x, pj, cj = gr, 1, 0
-        while x == gr:
-            x = (a * x + b) % gm
-            pj, cj = pj * a, a * cj + b
-            least = pj * (low + 1) + cj
-            if least > top:
+    seen: set[tuple[int, int]] = set()  # keys met once every start is past `top`
+    x, pj, cj = gr, 1, 0
+    while x == gr:
+        x = (a * x + b) % gm
+        pj, cj = pj * a, a * cj + b
+        least = pj * (low + 1) + cj
+        live = [c for c in live if c.hi is None or c.hi >= least]
+        if not live:
+            break
+        if least > top:
+            key = (pj % period, cj % period)
+            if key in seen:
                 break
-            out += [intersect_clauses(guarded, _affine_preimage_clause(pj, cj, c))
-                    for c in bounded if c.hi >= least]
-    unbounded = [c for c in s.clauses if c.hi is None]
-    if not unbounded:
-        return out
-    top = max(c.lo for c in unbounded)
-    for rho in range(gr, period, gm):
-        whole = Clause(low + 1, None, period, rho)
-        x, pj, cj = rho, 1, 0
-        found: dict[Clause, None] = {}  # an ordered set
-        later: set[int] = set()  # residues seen once every start is past `top`
-        while x % gm == gr and whole not in found:
-            x = (a * x + b) % period
-            pj, cj = pj * a, a * cj + b
-            if pj * (low + 1) + cj > top:
-                if x in later:
-                    break
-                later.add(x)
-            found.update(dict.fromkeys(
-                Clause(max(low + 1, _cdiv(c.lo - cj, pj)), None, period, rho)
-                for c in unbounded if x % c.modulus == c.residue))
-        out += [whole] if whole in found else list(found)
-    return out
+            seen.add(key)
+        for c in live:
+            hit = _affine_preimage_clause(pj, cj, c)
+            if clause_within(guarded, hit):
+                return [guarded]
+            out.append(hit)
+    return [intersect_clauses(guarded, c) for c in dict.fromkeys(out)]
 
 
 # --------------------------------------------------------------------------

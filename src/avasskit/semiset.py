@@ -8,7 +8,7 @@ and deduplication run at tuple speed, and a clause compares equal to the plain
 clauses.  These are exactly the subsets of the naturals definable in one free
 variable by quantifier-free linear arithmetic with divisibility, and they are
 closed under every operation this module exposes: union, intersection,
-complement, inclusion, equality, upward closure.
+complement, inclusion, equality.
 
 Every set has one canonical form, the masks of ``SemilinearSet._canon``: the
 least period ``L`` with which the set eventually repeats, the least threshold

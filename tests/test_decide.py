@@ -163,6 +163,12 @@ def test_covering_reduction_shape():
     assert widened.transitions[: len(m.transitions)] == m.transitions
 
 
+
+def test_covering_reduction_rejects_wrong_flavor():
+    m = Machine("inc", 1, ("p",), (Transition("p", "p", MinskyOp("inc", 1)),))
+    with pytest.raises(FlavorError):
+        covering_reduction(m, Configuration("p", (1,)))
+
 def test_covering_reduction_dodges_name_collisions():
     m = Machine(
         name="clash",

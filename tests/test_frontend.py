@@ -34,9 +34,11 @@ from avasskit.presburger import (
     And,
     Comparison,
     Congruence,
+    FALSE,
     LinearTerm,
     Not,
     Or,
+    TRUE,
     evaluate,
 )
 from avasskit.semiset import Clause, from_values, interval
@@ -543,6 +545,13 @@ def test_formula_serialize_round_trip_random():
             env = {"x": rng.randint(0, 8), "y": rng.randint(0, 8)}
             assert evaluate(back, env) == evaluate(f, env)
 
+
+
+def test_serialize_constant_formulas():
+    assert serialize_formula(TRUE) == "0 = 0"
+    assert serialize_formula(FALSE) == "1 = 0"
+    assert evaluate(parse_formula(serialize_formula(TRUE)), {})
+    assert not evaluate(parse_formula(serialize_formula(FALSE)), {})
 
 # --- configurations ----------------------------------------------------------
 

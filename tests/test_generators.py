@@ -192,6 +192,12 @@ def test_build_n1_is_functional():
         assert report.all_functional
 
 
+
+def test_is_functional_takes_affine_and_counter_op_transitions_as_built():
+    for m in (machine_m1(), two_counter_fixture()):
+        report = is_functional(m)
+        assert report.entries == tuple((t, True, None) for t in m.transitions)
+
 def random_minsky(rng: random.Random) -> Machine:
     states = tuple(f"p{i}" for i in range(rng.randint(1, 3)))
     trans = tuple(
@@ -243,6 +249,13 @@ def test_build_n1_input_validation():
     with pytest.raises(MachineError):
         build_n1(no_init, "s1")
 
+
+
+def test_build_n1_refuses_a_machine_that_is_not_counter_op():
+    m = Machine("vass", 2, ("s",), (
+        Transition("s", "s", AffineMapD(((1, 0), (0, 1)), (1, 0))),), initial="s")
+    with pytest.raises(FlavorError, match="the encoding takes a counter-op machine"):
+        build_n1(m, "s")
 
 # --------------------------------------------------------------------------
 # four-counter monotone encoding

@@ -78,6 +78,27 @@ def test_matrix_shape_checked():
         AffineMapD(((1, 0),), (0, 0))
 
 
+
+def test_counter_op_checked():
+    with pytest.raises(MachineError, match="unknown counter op 'jump'"):
+        MinskyOp("jump", 1)
+    with pytest.raises(MachineError, match="counters are numbered from 1"):
+        MinskyOp("inc", 0)
+
+
+def test_dimension_and_initial_state_checked():
+    with pytest.raises(MachineError, match="dimension must be >= 1"):
+        Machine("m", 0, ("a",), ())
+    with pytest.raises(MachineError, match="initial state 'b' not declared"):
+        Machine("m", 1, ("a",), (), initial="b")
+
+
+def test_check_configuration_counts_counters():
+    m = m1()
+    m.check_configuration(Configuration("q1", (5,)))
+    with pytest.raises(MachineError, match="configuration has 2 counters, machine has 1"):
+        m.check_configuration(Configuration("q1", (5, 0)))
+
 def test_configuration_validation():
     with pytest.raises(MachineError):
         Configuration("q", (-1,))

@@ -127,6 +127,20 @@ def test_dnf_cap():
         dnf(And(tuple(pairs)))
 
 
+
+def test_dnf_cap_on_a_disjunction():
+    atoms = tuple(Comparison(var(f"x{i}"), "=") for i in range(5))
+    assert len(dnf(Or(atoms), cap=5)) == 5
+    with pytest.raises(BudgetExceededError, match="DNF exceeded 4 clauses"):
+        dnf(Or(atoms), cap=4)
+
+
+def test_atoms_check_their_fields():
+    with pytest.raises(ValueError, match="unknown comparison operator '!='"):
+        Comparison(X, "!=")
+    with pytest.raises(ValueError, match="congruence modulus must be >= 1, got 0"):
+        Congruence(X, 0)
+
 # --- existential solving -----------------------------------------------------
 
 def test_exists_frozen_cases():

@@ -555,9 +555,9 @@ def test_cycle_star_random_growth():
 
 
 def test_cycle_star_growth_with_a_long_period():
-    # period 503: past 1000 the bounded clause yields the same empty threshold
-    # clause on every turn of a class's walk, and a hit on 7 mod 503 can take
-    # hundreds of turns, so the oracle runs with raised caps
+    # period 503: the bounded clause is live for the walk's first eight turns
+    # only, and a hit on 7 mod 503 can take hundreds of turns, so the oracle
+    # runs with raised caps
     s = semilinear([Clause(0, 1000), Clause(3, None, 503, 7)])
     got = pre_cycle_star(cycle(2, 1, Clause(0, None)), s)
     assert members_below(got, 1100) == cycle_pre_oracle(
@@ -630,6 +630,95 @@ def test_cycle_star_growth_matches_the_class_by_class_reference():
         got = prestar._cycle_pre_growth(a, b, guard, s)
         want = class_by_class_growth(a, b, guard, s)
         assert got.normalized().clauses == want.normalized().clauses, (a, b, guard, s.render())
+
+
+def two_walk_growth_tail(a: int, b: int, g: Clause, s: SemilinearSet,
+                         low: int, period: int) -> list[Clause]:
+    """Reference for the growth tail: bounded clauses hit by preimages along
+    one walk of the guard's class, unbounded clauses by one residue walk per
+    class mod the period, with hand-derived threshold clauses."""
+    gm, gr = g.modulus, g.residue
+    out: list[Clause] = []
+    bounded = [c for c in s.clauses if c.hi is not None]
+    if bounded:
+        guarded = Clause(low + 1, None, gm, gr)
+        top = max(c.hi for c in bounded)
+        x, pj, cj = gr, 1, 0
+        while x == gr:
+            x = (a * x + b) % gm
+            pj, cj = pj * a, a * cj + b
+            if pj * (low + 1) + cj > top:
+                break
+            out += [intersect_clauses(guarded, _affine_preimage_clause(pj, cj, c))
+                    for c in bounded if c.hi >= pj * (low + 1) + cj]
+    unbounded = [c for c in s.clauses if c.hi is None]
+    if not unbounded:
+        return out
+    top = max(c.lo for c in unbounded)
+    for rho in range(gr, period, gm):
+        whole = Clause(low + 1, None, period, rho)
+        x, pj, cj = rho, 1, 0
+        found: dict[Clause, None] = {}
+        later: set[int] = set()
+        while x % gm == gr and whole not in found:
+            x = (a * x + b) % period
+            pj, cj = pj * a, a * cj + b
+            if pj * (low + 1) + cj > top:
+                if x in later:
+                    break
+                later.add(x)
+            found.update(dict.fromkeys(
+                Clause(max(low + 1, -((cj - c.lo) // pj)), None, period, rho)
+                for c in unbounded if x % c.modulus == c.residue))
+        out += [whole] if whole in found else list(found)
+    return out
+
+
+def test_growth_tail_matches_the_two_walk_reference():
+    # one walk for every clause gives the tails of a walk for the bounded
+    # clauses and one walk per residue class for the unbounded ones, on
+    # draws with moduli up to 60 and bounds up to 5,000
+    rng = random.Random(4123)
+    checked = 0
+    while checked < 300:
+        a, b = rng.randint(2, 9), rng.randint(-60, 60)
+        gm = rng.choice([1, 1, 2, 3, 4, 6])
+        guard = Clause(rng.randint(0, 12), None, gm, rng.randrange(gm))
+        clauses = []
+        for _ in range(rng.randint(1, 4)):
+            m, lo = rng.randint(1, 60), rng.randint(0, 2000)
+            clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 5000)]),
+                                  m, rng.randrange(m)))
+        s = semilinear(clauses)
+        period = math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None))
+        if period > 2000:
+            continue  # the reference walks each class: O(period × orbit)
+        checked += 1
+        low = max(-((b - 1) // (a - 1)), guard.lo, 0)
+        got = semilinear(prestar._growth_tail_clauses(a, b, guard, s, low, period))
+        want = semilinear(two_walk_growth_tail(a, b, guard, s, low, period))
+        assert got.normalized().clauses == want.normalized().clauses, (a, b, guard, s.render())
+
+
+def test_growth_tail_walk_is_bounded_by_the_period(monkeypatch):
+    # x' = 2x + 1 with an unbounded clause of modulus 19,997, just under
+    # CLASS_MODULUS_CAP: one walk of at most about `period` turns, each
+    # taking one preimage per live clause (the bounded one for eight turns)
+    period = 19_997
+    calls = 0
+
+    def counted(alpha: int, beta: int, c: Clause) -> Clause:
+        nonlocal calls
+        calls += 1
+        return _affine_preimage_clause(alpha, beta, c)
+
+    monkeypatch.setattr(prestar, "_affine_preimage_clause", counted)
+    s = semilinear([Clause(0, 1000), Clause(3, None, period, 7)])
+    got = pre_cycle_star(cycle(2, 1, Clause(0, None)), s)
+    assert calls <= period + 64
+    # after j turns 1001 is 1002 * 2^j - 1, past the bounded clause
+    assert got.member(1001) == any(
+        (1002 * pow(2, j, period) - 1) % period == 7 for j in range(1, period + 1))
 
 
 def test_cycle_star_random_finite_guards():
