@@ -47,6 +47,7 @@ from .machine import (
     relational_variables,
 )
 from .presburger import (
+    COMPARE_OPS,
     And,
     Comparison,
     Congruence,
@@ -103,7 +104,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<bad>\S)")
 
 _NAME_RE = re.compile(_NAME)
-_COMPARE_OPS = ("<=", "<", "=", ">=", ">")
 
 # a token is (kind, text, col) with kind one of "int", "ident", "op", "kw", "end"
 _Token = tuple[str, str, int]
@@ -218,7 +218,7 @@ class _ExprParser:
         coeffs: dict[str, int] = {}
         constant = self.parse_sum(coeffs)
         _, op, op_col = self.peek()
-        if op not in _COMPARE_OPS:
+        if op not in COMPARE_OPS:
             raise self.fail("expected a comparison operator")
         self.pos += 1
         constant += self.parse_sum(coeffs, -1)

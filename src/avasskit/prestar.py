@@ -18,18 +18,18 @@ recomputes one state at a time from two exact operations until nothing changes:
   modulus ``m`` meets each of its classes within ``|b| / gcd(|b|, m)``
   members, so the pass takes the sum over clauses of ``min(members,
   |b| / gcd(|b|, m))`` turns, at most ``GUARD_ENUM_CAP`` per clause); growth
-  cycles (a >= 2) split into an explicitly enumerated low region and closed
-  forms above it: measured from the fixed point the orbits there grow as
-  ``a^j``, so within logarithmically many turns they all pass any bound.
-  Every clause of the set is hit by preimages along one walk of the
-  guard's residue class; once every orbit is past the clauses' largest
-  bound, a hit depends only on the turn's update ``(a^j, c_j)`` mod the lcm
-  of the guard's modulus and the unbounded clauses' moduli, and the walk
-  stops when that key repeats; constant cycles (a = 0) collapse to a single
+  cycles (a >= 2) hit every clause of the set by preimages along one walk
+  over the turns, which keeps the clause of starts whose orbit is still
+  inside the guard: measured from the fixed point the orbits grow as
+  ``a^j``, so within logarithmically many turns the starts below it have
+  left the guard and the others are past any bound; from there a hit
+  depends only on the turn's update ``(a^j, c_j)`` mod the lcm of the
+  guard's modulus and the unbounded clauses' moduli, and the walk stops
+  when that key repeats; constant cycles (a = 0) collapse to a single
   membership test.
-  Both enumerations walk each start's orbit in one loop,
-  :func:`_orbit_hits`, and both are sized before they are walked: past
-  ``GUARD_ENUM_CAP`` starts they raise BudgetExceededError.
+  Finite guards are walked start by start, in :func:`_orbit_hits`, and are
+  sized before they are walked: past ``GUARD_ENUM_CAP`` starts they raise
+  BudgetExceededError.
 
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print, and so
@@ -118,6 +118,8 @@ def _affine_preimage_clause(alpha: int, beta: int, c: Clause) -> Clause:
         hi = (beta - c_lo) // k
         rhs = beta - residue
         mul = k
+    if hi is not None and hi < max(lo, 0):
+        return EMPTY_CLAUSE
     g = math.gcd(mul, modulus)
     if rhs % g != 0:
         return EMPTY_CLAUSE
@@ -273,15 +275,13 @@ def _join(s: SemilinearSet, new: SemilinearSet) -> SemilinearSet:
     return s.union(new)
 
 
-def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[int],
-                escape: tuple[int, SemilinearSet] | None = None) -> SemilinearSet:
+def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet,
+                starts: Iterable[int]) -> SemilinearSet:
     """The starts whose orbit under n -> a*n + b enters s after >= 1 guarded turns.
 
     A walk ends when its value leaves the guard (a negative value always
-    does) or repeats.  With ``escape = (low, tail)`` a walk also ends once it
-    climbs past ``low``, and its start is a hit iff that value is in ``tail``.
+    does) or repeats.
     """
-    low, tail = escape if escape is not None else (None, EMPTY)
     hit = []
     for n in starts:
         v = n
@@ -291,10 +291,6 @@ def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet, starts: Iterable[in
             v = a * v + b
             if s.member(v):
                 hit.append(n)
-                break
-            if low is not None and v > low:
-                if tail.member(v):
-                    hit.append(n)
                 break
     return from_values(hit)
 
@@ -361,92 +357,79 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
 def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
     """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard.
 
-    Starts up to ``low`` are walked one by one; above it the orbits strictly
-    increase, and :func:`_growth_tail_clauses` finds the hits in closed form.
-    The residue period is the lcm of the guard's modulus and the moduli of
-    the unbounded clauses of s: bounded clauses are hit by preimages and need
-    none, so a finite set never raises the period.
+    One walk over the turns j.  After j turns a start n is at
+    ``a^j*n + c_j`` (both kept exact), so the starts that land in clause
+    ``c`` are ``alive ∩ _affine_preimage_clause(a^j, c_j, c)``, where
+    ``alive`` is the clause of guarded starts whose first j values all stayed
+    inside the guard.  Every orbit moves away from the fixed point
+    ``e = -b/(a-1)``, so a start stays guarded iff it is in the guard and its
+    last value is too, and ``alive`` stays one clause: while some alive start
+    lies below ``e`` it is cut by the guard's preimage on every turn, and the
+    starts below ``e`` fall out of the guard within about
+    ``log_a(e - g.lo)`` turns.  From then on no orbit falls: every alive
+    start has the guard's residue, so one residue check per turn decides
+    the guard for all of them, and the preimages are cut to ``alive`` once,
+    at the end; the walk stops at once if one holds all of ``alive``.  The
+    fixed point, when it is alive, stays there, and is a hit iff it is in s.
+    Of the unbounded clauses of one residue class it walks only the one with
+    the least ``lo``, which holds the others; it skips a bounded clause that
+    lies inside the one before it in order of ``lo``, and drops a bounded
+    clause once the least landing value passes its ``hi``.
+
+    Once the least rising start is past ``top``, the largest ``hi`` of a
+    bounded clause and ``lo`` of an unbounded one, a hit and the guard's
+    residue depend only on the key ``(a^j, c_j)`` mod the period (the lcm of
+    the guard's modulus and the unbounded clauses' moduli: bounded clauses
+    are hit by preimages and need none, so a finite set never raises it).
+    The next key is a function of the current one, so a repeated key replays
+    hits already taken and the walk stops.  Per prime power ``p^k`` of the
+    period the key is periodic from turn ``k`` on, with period at most
+    ``p^k``, so a key repeats within about ``period`` turns.
     """
-    r, gm, gr = g.lo, g.modulus, g.residue
+    gm, gr = g.modulus, g.residue
     period = math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None))
     if period > CLASS_MODULUS_CAP:
         raise BudgetExceededError(
             f"growth-cycle residue analysis modulus {period} over budget")
-    strict_from = _cdiv(1 - b, a - 1)  # a*n + b >= n + 1 from here on
-    low = max(strict_from, r, 0)
-    # explicit region: guarded starts up to `low`; orbits either die on the
-    # guard, repeat, or climb past `low` into the tail regime
-    starts = g.values(low)
-    if len(starts) > GUARD_ENUM_CAP:
-        raise BudgetExceededError(
-            f"growth-cycle low region of {len(starts)} values over budget")
-
-    tail = semilinear(_growth_tail_clauses(a, b, g, s, low, period))
-    return _orbit_hits(a, b, g, s, starts, (low, tail)).union(tail)
-
-
-def _growth_tail_clauses(a: int, b: int, g: Clause, s: SemilinearSet,
-                         low: int, period: int) -> list[Clause]:
-    """Clauses over starting values u > low whose growth orbit reaches s.
-
-    Values above ``low`` strictly increase and satisfy the guard's interval
-    part outright, so the guard holds before a turn iff the orbit's residue
-    mod the guard's modulus is the guard's residue.  Every start has the
-    guard's residue, so that residue after j turns is the same for all of
-    them: one walk of the guard's class decides the guard for every start.
-    After j turns a start u is at ``a^j*u + c_j`` (both kept exact), so the
-    starts that land in clause ``c`` are the guarded starts above ``low`` in
-    ``_affine_preimage_clause(a^j, c_j, c)``.  The walk takes that preimage
-    of every live clause (unbounded, or with ``hi`` at least the least
-    start's value) and cuts the distinct ones to the guarded class at the
-    end; it stops at once if one holds the whole guarded class.
-    Of the unbounded clauses of one residue class it walks only the one with
-    the least ``lo``, which holds the others.
-
-    Measured from the fixed point ``e = -b/(a-1)``, the orbit of ``low + 1``
-    grows as ``a^j`` (``low >= strict_from``), so within logarithmically
-    many turns the least start is past ``top``, the largest ``hi`` of a
-    bounded clause and ``lo`` of an unbounded one.  From there no bounded
-    clause is live, every unbounded threshold is at most ``low + 1``, and a
-    hit and the guard's residue depend only on the key ``(a^j, c_j)`` mod
-    ``period`` (the lcm of the guard's modulus and the unbounded clauses'
-    moduli).  The next key is a function of the current one, so a repeated
-    key replays hits already taken and the walk stops.  Per prime power
-    ``p^k`` of ``period`` the key is periodic from turn ``k`` on, with period
-    at most ``p^k``, so a key repeats within about ``period`` turns.
-    """
-    gm, gr = g.modulus, g.residue
-    guarded = Clause(low + 1, None, gm, gr)
     live: list[Clause] = []  # bounded clauses, then the unbounded ones walked
+    for c in sorted((c for c in s.clauses if c.hi is not None), key=lambda c: (c.lo, -c.hi)):
+        if not (live and clause_within(c, live[-1])):
+            live.append(c)
     least_lo: dict[tuple[int, int], Clause] = {}  # (modulus, residue) -> unbounded clause
     for c in s.clauses:
-        if c.hi is not None:
-            live.append(c)
-        elif least_lo.setdefault((c.modulus, c.residue), c).lo > c.lo:
+        if c.hi is None and least_lo.setdefault((c.modulus, c.residue), c).lo > c.lo:
             least_lo[(c.modulus, c.residue)] = c
     live += least_lo.values()
     top = max([c.lo if c.hi is None else c.hi for c in live], default=0)
-    out: list[Clause] = []
-    seen: set[tuple[int, int]] = set()  # keys met once every start is past `top`
-    x, pj, cj = gr, 1, 0
+    alive = g
+    out: list[Clause] = []  # hits cut to the starts alive when they were taken
+    raw: list[Clause] = []  # preimages taken once no orbit falls
+    seen: set[tuple[int, int]] = set()  # keys met once every rising start is past `top`
+    pj, cj, x = 1, 0, gr  # x: the residue mod gm of every alive start's value
     while x == gr:
-        x = (a * x + b) % gm
-        pj, cj = pj * a, a * cj + b
-        least = pj * (low + 1) + cj
+        lo = alive.lo
+        drift = (a - 1) * lo + b  # its sign: the side of the fixed point lo is on
+        pj, cj, x = pj * a, a * cj + b, (a * x + b) % gm
+        if drift < 0:
+            out += [intersect_clauses(alive, _affine_preimage_clause(pj, cj, c)) for c in live]
+            alive = intersect_clauses(alive, _affine_preimage_clause(pj, cj, g))
+            continue
+        least = pj * lo + cj
         live = [c for c in live if c.hi is None or c.hi >= least]
         if not live:
             break
-        if least > top:
+        rising = least if drift > 0 else pj * (lo + gm) + cj
+        if rising > top:
             key = (pj % period, cj % period)
             if key in seen:
                 break
             seen.add(key)
         for c in live:
             hit = _affine_preimage_clause(pj, cj, c)
-            if clause_within(guarded, hit):
-                return [guarded]
-            out.append(hit)
-    return [intersect_clauses(guarded, c) for c in dict.fromkeys(out)]
+            if clause_within(alive, hit):
+                return semilinear(out + [alive])
+            raw.append(hit)
+    return semilinear(out + [intersect_clauses(alive, c) for c in dict.fromkeys(raw)])
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,9 @@ least period ``L`` with which the set eventually repeats, the least threshold
 the residues mod ``L`` that are members from ``T`` on.  The masks depend on the
 members alone, so equality, inclusion and fullness compare masks.  Masks are
 plain Python ints, so comparison runs at word speed even when ``L`` is in the
-millions (which happens when many cycle moduli pile up).  They are built by
+millions (which happens when many cycle moduli pile up); a set whose ``T``
+or ``L`` is past ``MASK_WIDTH_CAP`` raises BudgetExceededError before any
+mask is built.  They are built by
 :func:`_mask_of` from one progression per clause, each at the cost of its
 members rather than of the mask's width once there are many clauses, so a
 set of tens of thousands of modulus-``L`` clauses costs one pass over ``L``.
@@ -36,6 +38,11 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
+from .errors import BudgetExceededError
+
+# the widest mask _canon builds: about 2^28 bits, a few hundred MB to build
+MASK_WIDTH_CAP = 1 << 28
+
 
 def _cdiv(a: int, b: int) -> int:
     """ceil(a / b) for b > 0, any-sign a."""
@@ -53,6 +60,12 @@ def _prog_bits(start: int, upper: int, step: int) -> int:
     count = (upper - start + step - 1) // step
     if step == 1:
         return _ones(count) << start
+    if step > 64:
+        # a division by a step-bit number would cost width × step: set the
+        # bits in one '0'/'1' word instead, highest first, and read it once
+        word = bytearray(b"0") * (upper - start)
+        word[upper - start - 1::-step] = b"1" * count
+        return int(word, 2) << start
     # geometric-series trick: (2^(count*step) - 1) / (2^step - 1) has a bit
     # every `step` positions, `count` of them
     return ((1 << (count * step)) - 1) // ((1 << step) - 1) << start
@@ -235,6 +248,8 @@ class SemilinearSet:
                 l = math.lcm(l, modulus)
             else:
                 t = max(t, hi + 1)
+        if max(t, l) > MASK_WIDTH_CAP:
+            raise BudgetExceededError(f"semilinear set mask of {max(t, l)} bits over budget")
         # one progression per clause below t, and one residue progression per
         # unbounded clause (since membership above T only depends on n mod
         # modulus, and lo <= T, its residue class is fully included from T on)

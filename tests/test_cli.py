@@ -7,6 +7,7 @@ confirm the installed surface agrees.
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -186,14 +187,51 @@ def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
      "cycle guard enumeration of 1000001 values over budget"),
     ("trans q -> q : x' = 1x + -20011\ntrans q -> q : x' = 2x + 1\n",
      "growth-cycle residue analysis modulus 20011 over budget"),
-    ("trans q -> q : x' = 2x + -1000000000\n",
-     "growth-cycle low region of 500000002 values over budget"),
 ])
 def test_prestar_cycle_budgets_exit_4(capsys, tmp_path, transitions, message):
     path = tmp_path / "loop.cm"
     path.write_text("machine loop\ndim 1\nstate q init\n" + transitions)
     code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
     assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("transition,value,message", [
+    ("x' = 1x + -3", "1000000000000",
+     "semilinear set mask of 1000000000004 bits over budget"),
+    ("x' = 2x + -1000000000", "6", "semilinear set mask of 500000004 bits over budget"),
+])
+def test_prestar_mask_width_budget_exits_4(tmp_path, transition, value, message):
+    # a set this wide would need masks of gigabytes: the CLI runs in a child
+    # process under an address-space limit, so a regression fails the test
+    # instead of exhausting memory
+    path = tmp_path / "loop.cm"
+    path.write_text(f"machine loop\ndim 1\nstate q init\ntrans q -> q : {transition}\n")
+    root = os.path.dirname(os.path.dirname(avasskit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH"))))}
+    limit = 1536 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "avasskit.cli", "prestar", str(path), "--state", "q",
+         "--value", value],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("transition,value,want", [
+    ("x' = 2x + -1000000000", "5", "q: [5..5] mod 1 = 0\n"),
+    ("x' = 2x + -1000000", "6", "q: [6..500003] mod 499997 = 6\n"),
+])
+def test_prestar_growth_cycle_low_region_answers(capsys, tmp_path, transition, value, want):
+    # the starts below the fixed point b are found by preimages along one
+    # walk, in about log2(b) turns, not one by one
+    path = tmp_path / "loop.cm"
+    path.write_text(f"machine loop\ndim 1\nstate q init\ntrans q -> q : {transition}\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", value)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_prestar_growth_cycle_over_far_apart_values_answers(capsys, tmp_path):

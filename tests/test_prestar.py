@@ -362,6 +362,15 @@ def test_cycle_star_growth_doubling():
     assert members_below(got, 100) == {1, 2, 4, 8}
 
 
+def test_cycle_star_growth_orbit_falls_out_of_the_guard():
+    # x' = 2x - 20 falls below its fixed point 20: 15 -> 10 -> 0, but 10 is
+    # below the guard [12..], so 15 reaches 0 only through an unguarded value
+    g = Clause(12, None)
+    for s, want in ((singleton(0), {0}), (singleton(10), {10, 15})):
+        got = pre_cycle_star(cycle(2, -20, g), s)
+        assert members_below(got, 200) == want == cycle_pre_oracle(2, -20, g, s, 200)
+
+
 def test_cycle_star_growth_into_residue_class():
     # n -> 2n and the target class is 1 mod 3: doublings alternate a value
     # between residues r and 2r mod 3, so exactly the n != 0 mod 3 qualify
@@ -583,6 +592,29 @@ def test_cycle_star_growth_over_far_apart_bounded_clauses():
         check_cycle_case(rng, a, b, random_guard(rng, finite=False), s, min(top + 50, 3000))
 
 
+def escape_walk(a: int, b: int, g: Clause, s: SemilinearSet, starts, low: int,
+                tail: SemilinearSet) -> SemilinearSet:
+    """Reference for the low region of a growth cycle: each start's orbit is
+    walked one value at a time until it leaves the guard, repeats, enters s,
+    or climbs past ``low``, where the start is a hit iff that value is in
+    ``tail``."""
+    hit = []
+    for n in starts:
+        v = n
+        seen: set[int] = set()
+        while g.member(v) and v not in seen:
+            seen.add(v)
+            v = a * v + b
+            if s.member(v):
+                hit.append(n)
+                break
+            if v > low:
+                if tail.member(v):
+                    hit.append(n)
+                break
+    return from_values(hit)
+
+
 def class_by_class_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
     """Reference for the growth acceleration: one residue walk per class mod
     the lcm of the guard's modulus and every clause modulus, bounded clauses
@@ -610,7 +642,7 @@ def class_by_class_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semili
                 for c in s.clauses if x % c.modulus == c.residue))
         tail += [whole] if whole in found else list(found)
     tail_set = semilinear(tail)
-    return prestar._orbit_hits(a, b, g, s, g.values(low), (low, tail_set)).union(tail_set)
+    return escape_walk(a, b, g, s, g.values(low), low, tail_set).union(tail_set)
 
 
 def test_cycle_star_growth_matches_the_class_by_class_reference():
@@ -674,29 +706,66 @@ def two_walk_growth_tail(a: int, b: int, g: Clause, s: SemilinearSet,
     return out
 
 
+def two_walk_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
+    """Reference for the growth acceleration: the starts up to ``low`` (just
+    past the fixed point) walked one by one, the starts above it by
+    :func:`two_walk_growth_tail`."""
+    period = math.lcm(g.modulus, *(c.modulus for c in s.clauses if c.hi is None))
+    low = max(-((b - 1) // (a - 1)), g.lo, 0)
+    tail = semilinear(two_walk_growth_tail(a, b, g, s, low, period))
+    return escape_walk(a, b, g, s, g.values(low), low, tail).union(tail)
+
+
+def random_two_walk_case(rng: random.Random, guard_lo: int, moduli: int,
+                         bound: int) -> tuple[Clause, SemilinearSet] | None:
+    """A guard and a set for :func:`two_walk_growth`, or None when the
+    period is past 2,000 (the reference walks each class: O(period × orbit))."""
+    gm = rng.choice([1, 1, 2, 3, 4, 6])
+    guard = Clause(rng.randint(0, guard_lo), None, gm, rng.randrange(gm))
+    clauses = []
+    for _ in range(rng.randint(1, 4)):
+        m, lo = rng.randint(1, moduli), rng.randint(0, 2000)
+        clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, bound)]),
+                              m, rng.randrange(m)))
+    s = semilinear(clauses)
+    if math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None)) > 2000:
+        return None
+    return guard, s
+
+
 def test_growth_tail_matches_the_two_walk_reference():
-    # one walk for every clause gives the tails of a walk for the bounded
-    # clauses and one walk per residue class for the unbounded ones, on
-    # draws with moduli up to 60 and bounds up to 5,000
+    # one walk over the starts still inside the guard gives the low region
+    # walked start by start, a walk for the bounded clauses above it and one
+    # walk per residue class for the unbounded ones, on draws with moduli up
+    # to 60 and bounds up to 5,000
     rng = random.Random(4123)
     checked = 0
     while checked < 300:
         a, b = rng.randint(2, 9), rng.randint(-60, 60)
-        gm = rng.choice([1, 1, 2, 3, 4, 6])
-        guard = Clause(rng.randint(0, 12), None, gm, rng.randrange(gm))
-        clauses = []
-        for _ in range(rng.randint(1, 4)):
-            m, lo = rng.randint(1, 60), rng.randint(0, 2000)
-            clauses.append(Clause(lo, rng.choice([None, rng.randint(lo, 5000)]),
-                                  m, rng.randrange(m)))
-        s = semilinear(clauses)
-        period = math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None))
-        if period > 2000:
-            continue  # the reference walks each class: O(period × orbit)
+        case = random_two_walk_case(rng, 12, 60, 5000)
+        if case is None:
+            continue
         checked += 1
-        low = max(-((b - 1) // (a - 1)), guard.lo, 0)
-        got = semilinear(prestar._growth_tail_clauses(a, b, guard, s, low, period))
-        want = semilinear(two_walk_growth_tail(a, b, guard, s, low, period))
+        guard, s = case
+        got = prestar._cycle_pre_growth(a, b, guard, s)
+        want = two_walk_growth(a, b, guard, s)
+        assert got.normalized().clauses == want.normalized().clauses, (a, b, guard, s.render())
+
+
+def test_growth_wide_low_regions_match_the_two_walk_reference():
+    # fixed points up to 150,000 above the guard's bound: the reference walks
+    # every start below them, the preimage walk about log_a of the distance
+    rng = random.Random(4124)
+    checked = 0
+    while checked < 100:
+        a, b = rng.randint(2, 9), rng.randint(-150_000, 0)
+        case = random_two_walk_case(rng, 2000, 12, 200_000)
+        if case is None:
+            continue
+        checked += 1
+        guard, s = case
+        got = prestar._cycle_pre_growth(a, b, guard, s)
+        want = two_walk_growth(a, b, guard, s)
         assert got.normalized().clauses == want.normalized().clauses, (a, b, guard, s.render())
 
 
@@ -752,21 +821,19 @@ def test_cycle_star_finite_guard_is_sized_before_it_is_walked():
     assert peak < 1_000_000
 
 
-def test_cycle_star_growth_low_region_is_sized_before_it_is_walked():
-    # x' = 2x - b has its fixed point at b, and every guarded start up to
-    # about b is walked one by one; past the budget the low region must raise
-    # before it is listed or walked
+def test_cycle_star_growth_low_region_is_walked_by_preimages():
+    # x' = 2x - b has its fixed point at b; the guarded starts below it fall
+    # out of the guard within about log2(b) turns, and none is listed or
+    # walked on its own
     m = Machine("low", 1, ("q",), (Transition("q", "q", AffineMap1(2, -10 ** 9)),))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError,
-                           match="growth-cycle low region of 500000002 values over budget"):
-            compute_pre_star(m, Configuration("q", (5,)))
+        got = compute_pre_star(m, Configuration("q", (5,))).sets["q"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert got == singleton(5)
     assert peak < 1_000_000
-    # inside the budget the low region is still walked
     small = AffineMap1(2, -10 ** 5)
     m = Machine("low", 1, ("q",), (Transition("q", "q", small),))
     assert compute_pre_star(m, Configuration("q", (5,))).sets["q"] == singleton(5)

@@ -8,7 +8,13 @@ import itertools
 import math
 import pickle
 import random
+import time
+import tracemalloc
 
+import pytest
+
+from avasskit import semiset
+from avasskit.errors import BudgetExceededError
 from avasskit.semiset import (
     EMPTY,
     EMPTY_CLAUSE,
@@ -446,6 +452,45 @@ def test_compact_pulls_tail_starts_down():
     # and the odd tail pulls down over 40,000 finite values to 1.
     s = semilinear([Clause(1, None, 2, 1), Clause(80_000, 80_000)])
     assert as_specs(s.compact()) == [(1, None, 2, 1), (80_000, 80_000, 1, 0)]
+
+
+def test_wide_step_progression_normalizes_in_linear_time():
+    # _minimal writes two far-apart values as one progression whose step is
+    # their distance; its mask costs its width, not width × step
+    m = 8_000_000
+    s = semilinear([Clause(6, 6 + m, m, 6)])
+    start = time.perf_counter()
+    got = s.normalized()
+    assert time.perf_counter() - start < 1.0
+    assert got.clauses == (Clause(6, 6 + m, m, 6),)
+    assert got.equal(from_values([6, 6 + m]))
+
+
+def test_prog_bits_sets_every_step_th_bit():
+    rng = random.Random(4501)
+    for _ in range(2000):
+        start, upper, step = rng.randint(0, 400), rng.randint(0, 3000), rng.randint(1, 300)
+        want = sum(1 << n for n in range(start, upper, step))
+        assert semiset._prog_bits(start, upper, step) == want, (start, upper, step)
+
+
+def test_masks_wider_than_the_budget_raise_before_they_are_built(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="semilinear set mask of 1000000000001 bits over budget"):
+            singleton(10 ** 12).normalized()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the threshold and the period are each checked against the cap
+    monkeypatch.setattr(semiset, "MASK_WIDTH_CAP", 1000)
+    assert semilinear([Clause(0, 999)]).equal(semilinear([Clause(0, 999, 1, 0)]))
+    assert semilinear([Clause(0, None, 1000, 3)]).normalized().member(1003)
+    for s in (semilinear([Clause(0, 1000)]), semilinear([Clause(0, None, 1001, 3)])):
+        with pytest.raises(BudgetExceededError, match="mask of 1001 bits over budget"):
+            s.normalized()
 
 
 def test_compact_keeps_detached_finite_values():
