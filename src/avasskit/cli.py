@@ -4,7 +4,8 @@ Layout of a run: verdicts and results go to standard output, diagnostics to
 standard error.  Decision verbs print a machine-parseable ``verdict: yes|no``
 as their first line; the exit code never encodes the answer.  Codes: 0 the
 analysis ran and produced its output, 3 bad input (usage, parse, or machine
-errors), 4 an internal budget gave out (cycle cap, solver arity).
+errors), 4 an internal budget gave out (cycle cap, solver arity, a set wider
+than ``semiset.MASK_WIDTH_CAP``, 2^28 bits: a value or constant past 2^28).
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call: argparse keeps no state of a
@@ -341,7 +342,9 @@ def build_parser() -> _Parser:
     p = _verb(verbs, "prestar", "symbolic backward reachability of one target",
               _cmd_prestar)
     p.add_argument("--state", required=True, metavar="Q")
-    p.add_argument("--value", required=True, type=int, metavar="N")
+    p.add_argument("--value", required=True, type=int, metavar="N",
+                   help="target counter value; 2^28 and up exit 4, as does any "
+                        "set over 2^28 bits wide")
     p.add_argument("--upward", action="store_true",
                    help="treat the target as upward-closed")
 

@@ -118,8 +118,6 @@ def _affine_preimage_clause(alpha: int, beta: int, c: Clause) -> Clause:
         hi = (beta - c_lo) // k
         rhs = beta - residue
         mul = k
-    if hi is not None and hi < max(lo, 0):
-        return EMPTY_CLAUSE
     g = math.gcd(mul, modulus)
     if rhs % g != 0:
         return EMPTY_CLAUSE
@@ -358,23 +356,24 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
     """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard.
 
     One walk over the turns j.  After j turns a start n is at
-    ``a^j*n + c_j`` (both kept exact), so the starts that land in clause
-    ``c`` are ``alive ∩ _affine_preimage_clause(a^j, c_j, c)``, where
-    ``alive`` is the clause of guarded starts whose first j values all stayed
-    inside the guard.  Every orbit moves away from the fixed point
-    ``e = -b/(a-1)``, so a start stays guarded iff it is in the guard and its
-    last value is too, and ``alive`` stays one clause: while some alive start
-    lies below ``e`` it is cut by the guard's preimage on every turn, and the
-    starts below ``e`` fall out of the guard within about
-    ``log_a(e - g.lo)`` turns.  From then on no orbit falls: every alive
-    start has the guard's residue, so one residue check per turn decides
-    the guard for all of them, and the preimages are cut to ``alive`` once,
-    at the end; the walk stops at once if one holds all of ``alive``.  The
-    fixed point, when it is alive, stays there, and is a hit iff it is in s.
-    Of the unbounded clauses of one residue class it walks only the one with
-    the least ``lo``, which holds the others; it skips a bounded clause that
-    lies inside the one before it in order of ``lo``, and drops a bounded
-    clause once the least landing value passes its ``hi``.
+    ``a^j*n + c_j`` (both kept exact).  Every orbit moves away from the fixed
+    point ``e = -b/(a-1)``, so a falling orbit's last guarded value is its
+    least and a rising one never leaves the guard: a guarded start got there
+    inside the guard iff that value is at least ``floor = a*g.lo + b``, and
+    its values kept the guard's residue, which all alive values share (the
+    walk stops when it breaks).  So each clause of s is cut to ``floor``
+    once, the hits of turn j are the preimages
+    ``_affine_preimage_clause(a^j, c_j, c)`` of the cut clauses, and they are
+    cut to the guard once, at the end.  The fixed point stays put: it is a
+    hit iff it is guarded and in s.  The clauses of one residue class that
+    meet or touch are joined first, so each turn takes one preimage per run.
+
+    ``alive`` is the clause of guarded starts whose values so far all stayed
+    in the guard.  While its least start lies below ``e`` it rises by one
+    preimage bound per turn, and the starts below ``e`` leave the guard
+    within about ``log_a(e - g.lo)`` turns.  The least alive value only
+    climbs, so a bounded clause below it is dropped for good.  The walk stops
+    once a hit holds all of ``alive``.
 
     Once the least rising start is past ``top``, the largest ``hi`` of a
     bounded clause and ``lo`` of an unbounded one, a hit and the guard's
@@ -391,45 +390,46 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
     if period > CLASS_MODULUS_CAP:
         raise BudgetExceededError(
             f"growth-cycle residue analysis modulus {period} over budget")
-    live: list[Clause] = []  # bounded clauses, then the unbounded ones walked
-    for c in sorted((c for c in s.clauses if c.hi is not None), key=lambda c: (c.lo, -c.hi)):
-        if not (live and clause_within(c, live[-1])):
+    floor = a * g.lo + b  # the least value a guarded turn can give
+    live: list[Clause] = []  # s's clauses, those of one class that meet or touch joined
+    for c in sorted(s.clauses, key=lambda c: (c.modulus, c.residue, c.lo)):
+        p = live[-1] if live else None
+        if p is None or p[2:] != c[2:] or p.hi is not None and c.lo > p.hi + c.modulus:
             live.append(c)
-    least_lo: dict[tuple[int, int], Clause] = {}  # (modulus, residue) -> unbounded clause
-    for c in s.clauses:
-        if c.hi is None and least_lo.setdefault((c.modulus, c.residue), c).lo > c.lo:
-            least_lo[(c.modulus, c.residue)] = c
-    live += least_lo.values()
+        elif p.hi is not None and (c.hi is None or c.hi > p.hi):
+            live[-1] = Clause(p.lo, c.hi, c.modulus, c.residue)
+    live = [c if c.lo >= floor else Clause(floor, c.hi, c.modulus, c.residue)
+            for c in live if c.hi is None or c.hi >= floor]
     top = max([c.lo if c.hi is None else c.hi for c in live], default=0)
+    e, frac = divmod(-b, a - 1)  # the fixed point, a hit iff guarded and in s
+    raw = [Clause(e, e)] if frac == 0 and g.member(e) and s.member(e) else []
     alive = g
-    out: list[Clause] = []  # hits cut to the starts alive when they were taken
-    raw: list[Clause] = []  # preimages taken once no orbit falls
     seen: set[tuple[int, int]] = set()  # keys met once every rising start is past `top`
     pj, cj, x = 1, 0, gr  # x: the residue mod gm of every alive start's value
     while x == gr:
         lo = alive.lo
         drift = (a - 1) * lo + b  # its sign: the side of the fixed point lo is on
         pj, cj, x = pj * a, a * cj + b, (a * x + b) % gm
-        if drift < 0:
-            out += [intersect_clauses(alive, _affine_preimage_clause(pj, cj, c)) for c in live]
-            alive = intersect_clauses(alive, _affine_preimage_clause(pj, cj, g))
-            continue
-        least = pj * lo + cj
+        least = pj * (lo + gm if drift == 0 else lo) + cj  # the least alive value but e
         live = [c for c in live if c.hi is None or c.hi >= least]
         if not live:
             break
-        rising = least if drift > 0 else pj * (lo + gm) + cj
-        if rising > top:
+        if drift >= 0 and least > top:
             key = (pj % period, cj % period)
             if key in seen:
                 break
             seen.add(key)
         for c in live:
             hit = _affine_preimage_clause(pj, cj, c)
-            if clause_within(alive, hit):
-                return semilinear(out + [alive])
+            if hit.hi is None and clause_within(alive, hit):
+                raw.append(alive)  # every alive start is a hit
+                return semilinear(c if clause_within(c, g) else intersect_clauses(g, c)
+                                  for c in dict.fromkeys(raw))
             raw.append(hit)
-    return semilinear(out + [intersect_clauses(alive, c) for c in dict.fromkeys(raw)])
+        if drift < 0:
+            alive = Clause(max(lo, _cdiv(g.lo - cj, pj)), None, gm, gr)
+    return semilinear(c if clause_within(c, g) else intersect_clauses(g, c)
+                      for c in dict.fromkeys(raw))
 
 
 # --------------------------------------------------------------------------

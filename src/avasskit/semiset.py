@@ -57,18 +57,9 @@ def _prog_bits(start: int, upper: int, step: int) -> int:
     """Bitmask with bits start, start+step, ... strictly below upper."""
     if start >= upper:
         return 0
-    count = (upper - start + step - 1) // step
     if step == 1:
-        return _ones(count) << start
-    if step > 64:
-        # a division by a step-bit number would cost width × step: set the
-        # bits in one '0'/'1' word instead, highest first, and read it once
-        word = bytearray(b"0") * (upper - start)
-        word[upper - start - 1::-step] = b"1" * count
-        return int(word, 2) << start
-    # geometric-series trick: (2^(count*step) - 1) / (2^step - 1) has a bit
-    # every `step` positions, `count` of them
-    return ((1 << (count * step)) - 1) // ((1 << step) - 1) << start
+        return _ones(upper - start) << start
+    return _replicate(1, step, upper - start) << start
 
 
 def _mask_of(width: int, progressions: list[tuple[int, int, int]]) -> int:
@@ -102,13 +93,16 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _replicate(mask: int, unit: int, copies: int) -> int:
-    """Concatenate `copies` copies of a `unit`-bit mask."""
-    if copies <= 0:
-        return 0
-    if copies == 1:
-        return mask
-    return mask * (((1 << (copies * unit)) - 1) // ((1 << unit) - 1))
+def _replicate(mask: int, unit: int, width: int) -> int:
+    """The low `width` bits of the `unit`-bit mask repeated without end.
+
+    Each turn doubles the copies, so the cost is linear in width whatever the
+    unit (dividing by the repunit ``2^unit - 1`` would cost width × unit).
+    """
+    while unit < width:
+        mask |= mask << unit
+        unit += unit
+    return mask & _ones(width)
 
 
 class Clause(tuple):
@@ -272,7 +266,7 @@ class SemilinearSet:
             word = format(rmask, f"0{l}b")
             d = (word + word).find(word, 1)
             rmask &= _ones(d)
-        t = (fmask ^ (_replicate(rmask, d, _cdiv(t, d)) & _ones(t))).bit_length()
+        t = (fmask ^ _replicate(rmask, d, t)).bit_length()
         return (t, d, fmask & _ones(t), rmask)
 
     def member(self, n: int) -> bool:

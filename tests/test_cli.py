@@ -221,6 +221,31 @@ def test_prestar_mask_width_budget_exits_4(tmp_path, transition, value, message)
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value,code,out,err", [
+    ("268435455", 0, "q: [268435455..268435455] mod 1 = 0\np: empty\n", ""),
+    ("268435456", 4, "", "error: semilinear set mask of 268435457 bits over budget\n"),
+])
+def test_prestar_mask_width_budget_is_2_to_the_28(tmp_path, value, code, out, err):
+    # the target {N} is N + 1 bits wide, so 2^28 - 1 is the largest value
+    # answered; the widest answer takes a mask of 2^28 bits, so the CLI runs
+    # in a child process under an address-space limit
+    path = tmp_path / "one.cm"
+    path.write_text("machine one\ndim 1\nstate q init\nstate p\ntrans q -> p : x' = 1x + 0\n")
+    root = os.path.dirname(os.path.dirname(avasskit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH"))))}
+    limit = 1536 * 2 ** 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "avasskit.cli", "prestar", str(path), "--state", "q",
+         "--value", value],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 @pytest.mark.parametrize("transition,value,want", [
     ("x' = 2x + -1000000000", "5", "q: [5..5] mod 1 = 0\n"),
     ("x' = 2x + -1000000", "6", "q: [6..500003] mod 499997 = 6\n"),

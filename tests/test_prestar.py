@@ -369,6 +369,12 @@ def test_cycle_star_growth_orbit_falls_out_of_the_guard():
     for s, want in ((singleton(0), {0}), (singleton(10), {10, 15})):
         got = pre_cycle_star(cycle(2, -20, g), s)
         assert members_below(got, 200) == want == cycle_pre_oracle(2, -20, g, s, 200)
+    # x' = 2x - 21: 16 -> 11 -> 1 leaves the guard at 11, one below its bound,
+    # while 20 -> 19 -> 17 -> 13 -> 5 stays inside it until its last turn
+    for s, want in ((singleton(1), {1}), (singleton(5), {5, 13, 17, 19, 20}),
+                    (semilinear([Clause(1, 5)]), {1, 2, 3, 4, 5, 12, 13, 17, 19, 20})):
+        got = pre_cycle_star(cycle(2, -21, g), s)
+        assert members_below(got, 200) == want == cycle_pre_oracle(2, -21, g, s, 200)
 
 
 def test_cycle_star_growth_into_residue_class():

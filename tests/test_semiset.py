@@ -464,6 +464,12 @@ def test_wide_step_progression_normalizes_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert got.clauses == (Clause(6, 6 + m, m, 6),)
     assert got.equal(from_values([6, 6 + m]))
+    # the residue mask repeated up to a threshold twice the period wide
+    s = semilinear([Clause(4_000_000, None, 2_000_000, 0)])
+    start = time.perf_counter()
+    got = s.normalized()
+    assert time.perf_counter() - start < 1.0
+    assert got.clauses == (Clause(4_000_000, None, 2_000_000, 0),)
 
 
 def test_prog_bits_sets_every_step_th_bit():
@@ -472,6 +478,15 @@ def test_prog_bits_sets_every_step_th_bit():
         start, upper, step = rng.randint(0, 400), rng.randint(0, 3000), rng.randint(1, 300)
         want = sum(1 << n for n in range(start, upper, step))
         assert semiset._prog_bits(start, upper, step) == want, (start, upper, step)
+
+
+def test_replicate_repeats_the_unit_over_the_width():
+    rng = random.Random(4502)
+    for _ in range(2000):
+        unit, width = rng.randint(1, 300), rng.randint(0, 3000)
+        mask = rng.getrandbits(unit)
+        want = sum(1 << n for n in range(width) if mask >> (n % unit) & 1)
+        assert semiset._replicate(mask, unit, width) == want, (mask, unit, width)
 
 
 def test_masks_wider_than_the_budget_raise_before_they_are_built(monkeypatch):
