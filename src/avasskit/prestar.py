@@ -10,26 +10,25 @@ recomputes one state at a time from two exact operations until nothing changes:
   (:func:`~avasskit.machine.domain_clause`: where the result is a natural and
   the guard holds);
 * :func:`pre_cycle_star` — the predecessors through *any positive number* of
-  turns around one simple cycle, in closed form.  The cycle's composed update
-  ``n -> a*n + b`` and its entry guard decide the shape: finite guards are
-  enumerated; translation cycles (a = 1) give one clause per residue class
-  of the step, bounded by the least/greatest landing element of the set in
-  that class, all found in one pass over the set's clauses (a clause of
-  modulus ``m`` meets each of its classes within ``|b| / gcd(|b|, m)``
-  members, so the pass takes the sum over clauses of ``min(members,
-  |b| / gcd(|b|, m))`` turns, at most ``GUARD_ENUM_CAP`` per clause); growth
-  cycles (a >= 2) hit every clause of the set by preimages along one walk
-  over the turns, which keeps the clause of starts whose orbit is still
-  inside the guard: measured from the fixed point the orbits grow as
+  turns around one simple cycle, in closed form.  The slope ``a`` of the
+  cycle's composed update ``n -> a*n + b`` alone decides the shape; the
+  entry guard, finite or not, only cuts it.  Translation cycles (a = 1) give
+  one clause per residue class of the step, bounded by the least/greatest
+  landing element of the set in that class, all found in one pass over the
+  set's clauses (a clause of modulus ``m`` meets each of its classes within
+  ``|b| / gcd(|b|, m)`` members, at most ``GUARD_ENUM_CAP`` per clause).
+  Growth cycles (a >= 2) hit every clause of the set by preimages along one
+  walk over the turns, which keeps the clause of starts whose orbit is
+  still inside the guard: measured from the fixed point the orbits grow as
   ``a^j``, so within logarithmically many turns the starts below it have
-  left the guard and the others are past any bound; from there a hit
-  depends only on the turn's update ``(a^j, c_j)`` mod the lcm of the
+  left the guard and the others are past every bounded clause; from there a
+  hit depends only on the turn's update ``(a^j, c_j)`` mod the lcm of the
   guard's modulus and the unbounded clauses' moduli, and the walk stops
-  when that key repeats; constant cycles (a = 0) collapse to a single
-  membership test.
-  Finite guards are walked start by start, in :func:`_orbit_hits`, and are
-  sized before they are walked: past ``GUARD_ENUM_CAP`` starts they raise
-  BudgetExceededError.
+  when that key repeats.  Constant cycles (a = 0) collapse to a single
+  membership test.  A cycle with a < 0 is taken two turns at a time, as one
+  turn of ``a^2*n + (a+1)*b`` (the identity for a = -1, else a growth map)
+  under a finite guard, an odd number ending with one guarded turn into the
+  set.  No guard is walked start by start.
 
 Every set the fixpoint stores is in the minimal form
 (:meth:`~avasskit.semiset.SemilinearSet.normalized`), ready to print, and so
@@ -71,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
 
 from .errors import BudgetExceededError, FlavorError
 from .machine import (
@@ -88,7 +87,6 @@ from .semiset import (
     SemilinearSet,
     _cdiv,
     clause_within,
-    from_values,
     intersect_clauses,
     interval,
     semilinear,
@@ -238,31 +236,33 @@ def pre_cycle_star(cycle: SimpleCycle, s: SemilinearSet) -> SemilinearSet:
 
     A value n qualifies when there is i >= 1 with every intermediate value
     n, f(n), …, f^{i-1}(n) inside the guard and f^i(n) in s, where f is the
-    cycle's composed update.  When each clause of the acceleration lies
-    inside one clause of s, nothing is added and the result is ``s`` itself
-    (the same object), so a minimal s stays minimal at no cost; otherwise it
-    is ``s.union(...)``.
+    cycle's composed update; its slope alone picks the closed form
+    (:func:`_cycle_pre`), whether the guard is finite or not.  When each
+    clause of the acceleration lies inside one clause of s, nothing is added
+    and the result is ``s`` itself (the same object), so a minimal s stays
+    minimal at no cost; otherwise it is ``s.union(...)``.
     """
-    a, b = cycle.meta.a, cycle.meta.b
-    g = cycle.guard
-    if g.is_empty or s.is_empty:
+    if cycle.guard.is_empty or s.is_empty:
         return s
-    if g.hi is not None or a < 0:
-        # an infinite guard with a shrinking map cannot happen for built cycles
-        # (the last step's domain pullback bounds the guard); enumerate anyway,
-        # up to the last value the map keeps inside N.
-        starts = g.values(g.hi if g.hi is not None else b // -a)
-        if len(starts) > GUARD_ENUM_CAP:
-            raise BudgetExceededError(
-                f"cycle guard enumeration of {len(starts)} values over budget")
-        return _join(s, _orbit_hits(a, b, g, s, starts))
+    return _join(s, _cycle_pre(cycle.meta.a, cycle.meta.b, cycle.guard, s))
+
+
+def _cycle_pre(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
+    """The values that reach s through >= 1 turns of f(n) = a*n + b inside the guard g."""
+    if a < 0:
+        # two turns of f are one turn of h(n) = a²n + (a+1)b under
+        # g2 = g ∩ f⁻¹(g): 2k turns stay in g iff k turns of h stay in g2, and
+        # 2k+1 turns end with one turn of f from g into s, that is, with h^k(n)
+        # in `once`; h is the identity for a = -1 and grows under the finite
+        # g2 for a <= -2
+        once = _pre_once(a, b, g, s)
+        g2 = _cut(_affine_preimage_clause(a, b, g), g)
+        return once.union(_cycle_pre(a * a, (a + 1) * b, g2, s.union(once)))
     if a == 0:
-        return _join(s, semilinear([g]) if s.member(b) else EMPTY)
+        return semilinear([g]) if s.member(b) else EMPTY
     if a == 1:
-        if b == 0:
-            return s
-        return _join(s, _cycle_pre_translation(b, g, s))
-    return _join(s, _cycle_pre_growth(a, b, g, s))
+        return _cycle_pre_translation(b, g, s) if b else EMPTY
+    return _cycle_pre_growth(a, b, g, s)
 
 
 def _join(s: SemilinearSet, new: SemilinearSet) -> SemilinearSet:
@@ -273,39 +273,31 @@ def _join(s: SemilinearSet, new: SemilinearSet) -> SemilinearSet:
     return s.union(new)
 
 
-def _orbit_hits(a: int, b: int, g: Clause, s: SemilinearSet,
-                starts: Iterable[int]) -> SemilinearSet:
-    """The starts whose orbit under n -> a*n + b enters s after >= 1 guarded turns.
+def _pre_once(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
+    """One guarded turn: {n in g : a*n + b in s}."""
+    return semilinear(intersect_clauses(_affine_preimage_clause(a, b, x), g)
+                      for x in s.clauses)
 
-    A walk ends when its value leaves the guard (a negative value always
-    does) or repeats.
-    """
-    hit = []
-    for n in starts:
-        v = n
-        seen: set[int] = set()
-        while g.member(v) and v not in seen:
-            seen.add(v)
-            v = a * v + b
-            if s.member(v):
-                hit.append(n)
-                break
-    return from_values(hit)
+
+def _cut(c: Clause, g: Clause) -> Clause:
+    """``c ∩ g``, and ``c`` itself when it lies inside ``g``."""
+    return c if clause_within(c, g) else intersect_clauses(c, g)
 
 
 def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
-    """Acceleration of n -> n + b (b != 0) under an upward-unbounded guard.
+    """Acceleration of n -> n + b (b != 0) under the guard g.
 
     When the guard's modulus divides the step ``beta = |b|``, the result is
     one clause per residue class ``c`` mod ``beta`` that meets the guard: the
     starts of one class land in one class, and the landing values there of
     all clauses of s differ in one bound only, so their union is one clause,
     whose bound is the least landing value (b < 0) or the greatest one
-    (b > 0, unbounded once one clause is).  One pass over s finds these
-    bounds: a clause, cut to the guard's classes and to the landing bound,
-    has modulus ``m``, and any ``beta / gcd(beta, m)`` of its members in a
-    row meet each class it meets once.  So the walk from its least member
-    (from its greatest for b > 0 and a finite ``hi``) takes
+    (b > 0, unbounded once one clause is).  Orbits are monotone, so only the
+    first and last guarded values meet the guard's bounds.  One pass over s
+    finds the class bounds: a clause, cut to the landing values, has modulus
+    ``m``, and any ``beta / gcd(beta, m)`` of its members in a row meet each
+    class it meets once.  So the walk from its least member (from its
+    greatest for b > 0 and a finite ``hi``) takes
     ``min(members, beta / gcd(beta, m))`` turns, and the pass costs the sum of
     these over s.  A clause whose walk would take more than ``GUARD_ENUM_CAP``
     turns raises BudgetExceededError; a walk is never longer than ``beta``,
@@ -314,14 +306,13 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
     beta = abs(b)
     r, gm, gr = g.lo, g.modulus, g.residue
     if beta % gm != 0:
-        # the guard congruence breaks after one application, so i = 1 only:
-        # n in guard and n + b in s
-        return semilinear(intersect_clauses(_affine_preimage_clause(1, b, x), g)
-                          for x in s.clauses)
+        # the guard congruence breaks after one application, so i = 1 only
+        return _pre_once(1, b, g, s)
     # b < 0: the least landing value m = n - i*beta with m ≡ n (mod beta),
     # m in s, and the last guarded input m + beta >= r; b > 0: some landing
-    # value m = n + i*beta >= n + beta must be in s
-    land = Clause(r - beta if b < 0 else 0, None, gm, gr)
+    # value m = n + i*beta >= n + beta must be in s; either way the last
+    # guarded input m - b is at most g.hi
+    land = Clause(r - beta if b < 0 else 0, None if g.hi is None else g.hi + b, gm, gr)
     bound: dict[int, int | None] = {}  # class -> least/greatest landing value
     for x in s.clauses:
         y = intersect_clauses(land, x)
@@ -347,21 +338,21 @@ def _cycle_pre_translation(b: int, g: Clause, s: SemilinearSet) -> SemilinearSet
                 if c not in bound or bound[c] is not None and bound[c] < v:
                     bound[c] = v
     if b < 0:
-        return semilinear(Clause(bound[c] + beta, None, beta, c) for c in sorted(bound))
+        return semilinear(Clause(bound[c] + beta, g.hi, beta, c) for c in sorted(bound))
     return semilinear(Clause(r, None if bound[c] is None else bound[c] - beta, beta, c)
                       for c in sorted(bound))
 
 
 def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> SemilinearSet:
-    """Acceleration of n -> a*n + b (a >= 2) under an upward-unbounded guard.
+    """Acceleration of n -> a*n + b (a >= 2) under the guard g.
 
     One walk over the turns j.  After j turns a start n is at
     ``a^j*n + c_j`` (both kept exact).  Every orbit moves away from the fixed
-    point ``e = -b/(a-1)``, so a falling orbit's last guarded value is its
-    least and a rising one never leaves the guard: a guarded start got there
-    inside the guard iff that value is at least ``floor = a*g.lo + b``, and
+    point ``e = -b/(a-1)``, so its values are monotone: a guarded start got
+    to a value inside the guard iff that value lies between ``floor = a*g.lo
+    + b`` and ``ceil = a*g.hi + b`` (no ``ceil`` for an unbounded guard), and
     its values kept the guard's residue, which all alive values share (the
-    walk stops when it breaks).  So each clause of s is cut to ``floor``
+    walk stops when it breaks).  So each clause of s is cut to that range
     once, the hits of turn j are the preimages
     ``_affine_preimage_clause(a^j, c_j, c)`` of the cut clauses, and they are
     cut to the guard once, at the end.  The fixed point stays put: it is a
@@ -369,37 +360,41 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
     meet or touch are joined first, so each turn takes one preimage per run.
 
     ``alive`` is the clause of guarded starts whose values so far all stayed
-    in the guard.  While its least start lies below ``e`` it rises by one
-    preimage bound per turn, and the starts below ``e`` leave the guard
+    at or above ``g.lo``.  While its least start lies below ``e`` it rises by
+    one preimage bound per turn, and the starts below ``e`` leave the guard
     within about ``log_a(e - g.lo)`` turns.  The least alive value only
-    climbs, so a bounded clause below it is dropped for good.  The walk stops
-    once a hit holds all of ``alive``.
+    climbs, so a bounded clause below it is dropped for good (under a finite
+    guard every clause is bounded, so the walk ends within about log_a of
+    the guard's range).  The walk stops once a hit holds all of ``alive``.
 
     Once the least rising start is past ``top``, the largest ``hi`` of a
-    bounded clause and ``lo`` of an unbounded one, a hit and the guard's
-    residue depend only on the key ``(a^j, c_j)`` mod the period (the lcm of
-    the guard's modulus and the unbounded clauses' moduli: bounded clauses
-    are hit by preimages and need none, so a finite set never raises it).
-    The next key is a function of the current one, so a repeated key replays
-    hits already taken and the walk stops.  Per prime power ``p^k`` of the
-    period the key is periodic from turn ``k`` on, with period at most
-    ``p^k``, so a key repeats within about ``period`` turns.
+    bounded clause and ``lo`` of an unbounded one, only unbounded clauses are
+    live, and a hit and the guard's residue depend only on the key
+    ``(a^j, c_j)`` mod the period: the lcm of the guard's modulus and the
+    unbounded clauses' moduli, read only there, so a set with no unbounded
+    clause left after the cut never raises it.  The next key is a function
+    of the current one, so a repeated key replays hits already taken and the
+    walk stops.  Per prime power ``p^k`` of the period the key is periodic
+    from turn ``k`` on, with period at most ``p^k``, so a key repeats within
+    about ``period`` turns.
     """
     gm, gr = g.modulus, g.residue
-    period = math.lcm(gm, *(c.modulus for c in s.clauses if c.hi is None))
-    if period > CLASS_MODULUS_CAP:
-        raise BudgetExceededError(
-            f"growth-cycle residue analysis modulus {period} over budget")
     floor = a * g.lo + b  # the least value a guarded turn can give
-    live: list[Clause] = []  # s's clauses, those of one class that meet or touch joined
-    for c in sorted(s.clauses, key=lambda c: (c.modulus, c.residue, c.lo)):
+    ceil = None if g.hi is None else a * g.hi + b  # and the greatest
+    live: list[Clause] = []  # s's clauses cut, those of one class that meet or touch joined
+    for c in sorted(s.clauses, key=itemgetter(2, 3, 0)):
+        lo, hi, m, r = c
+        if ceil is not None and (hi is None or hi > ceil):
+            c = Clause(max(lo, floor), ceil, m, r)
+        elif lo < floor:
+            c = Clause(floor, hi, m, r)
+        if c is EMPTY_CLAUSE:
+            continue
         p = live[-1] if live else None
         if p is None or p[2:] != c[2:] or p.hi is not None and c.lo > p.hi + c.modulus:
             live.append(c)
         elif p.hi is not None and (c.hi is None or c.hi > p.hi):
             live[-1] = Clause(p.lo, c.hi, c.modulus, c.residue)
-    live = [c if c.lo >= floor else Clause(floor, c.hi, c.modulus, c.residue)
-            for c in live if c.hi is None or c.hi >= floor]
     top = max([c.lo if c.hi is None else c.hi for c in live], default=0)
     e, frac = divmod(-b, a - 1)  # the fixed point, a hit iff guarded and in s
     raw = [Clause(e, e)] if frac == 0 and g.member(e) and s.member(e) else []
@@ -415,6 +410,11 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
         if not live:
             break
         if drift >= 0 and least > top:
+            if not seen:  # only unbounded clauses are live: read the period
+                period = math.lcm(gm, *(c.modulus for c in live))
+                if period > CLASS_MODULUS_CAP:
+                    raise BudgetExceededError(
+                        f"growth-cycle residue analysis modulus {period} over budget")
             key = (pj % period, cj % period)
             if key in seen:
                 break
@@ -423,13 +423,11 @@ def _cycle_pre_growth(a: int, b: int, g: Clause, s: SemilinearSet) -> Semilinear
             hit = _affine_preimage_clause(pj, cj, c)
             if hit.hi is None and clause_within(alive, hit):
                 raw.append(alive)  # every alive start is a hit
-                return semilinear(c if clause_within(c, g) else intersect_clauses(g, c)
-                                  for c in dict.fromkeys(raw))
+                return semilinear(_cut(c, g) for c in dict.fromkeys(raw))
             raw.append(hit)
         if drift < 0:
             alive = Clause(max(lo, _cdiv(g.lo - cj, pj)), None, gm, gr)
-    return semilinear(c if clause_within(c, g) else intersect_clauses(g, c)
-                      for c in dict.fromkeys(raw))
+    return semilinear(_cut(c, g) for c in dict.fromkeys(raw))
 
 
 # --------------------------------------------------------------------------

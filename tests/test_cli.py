@@ -173,18 +173,28 @@ def test_prestar_on_a_ring_longer_than_the_recursion_limit(capsys, tmp_path):
         for i in range(1, 1100))
 
 
-def test_prestar_over_the_guard_budget_exits_4(capsys, tmp_path):
+@pytest.mark.parametrize("transition,want", [
+    ("x' = 1x + 1 ; guard [0..300000]", "q: [0..5] mod 1 = 0\n"),
+    ("x' = 1x + 1 ; guard [0..190000]", "q: [0..5] mod 1 = 0\n"),
+    ("x' = -1x + 1000000", "q: [5..999995] mod 999990 = 5\n"),
+])
+def test_prestar_finite_guards_answer(tmp_path, transition, want):
+    # finite guards past GUARD_ENUM_CAP, and under it, are cut by the closed
+    # forms, not walked start by start (which took minutes under the cap):
+    # the CLI runs in a child process with a timeout, so a regression fails
+    # the test instead of hanging it
     path = tmp_path / "loop.cm"
-    path.write_text("machine loop\ndim 1\nstate q init\n"
-                    "trans q -> q : x' = 1x + 1 ; guard [0..300000]\n")
-    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "5")
-    assert code == 4 and out == ""
-    assert err == "error: cycle guard enumeration of 300001 values over budget\n"
+    path.write_text(f"machine loop\ndim 1\nstate q init\ntrans q -> q : {transition}\n")
+    root = os.path.dirname(os.path.dirname(avasskit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "avasskit.cli", "prestar", str(path), "--state", "q",
+         "--value", "5"], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 @pytest.mark.parametrize("transitions,message", [
-    ("trans q -> q : x' = -1x + 1000000\n",
-     "cycle guard enumeration of 1000001 values over budget"),
     ("trans q -> q : x' = 1x + -20011\ntrans q -> q : x' = 2x + 1\n",
      "growth-cycle residue analysis modulus 20011 over budget"),
 ])
@@ -266,6 +276,16 @@ def test_prestar_growth_cycle_over_far_apart_values_answers(capsys, tmp_path):
     path.write_text("machine loop\ndim 1\nstate q init\ntrans q -> q : x' = 2x + -100000\n")
     code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "6")
     assert (code, out, err) == (0, "q: [6..50003] mod 49997 = 6\n", "")
+
+
+def test_prestar_growth_cycle_reads_no_period_for_a_finite_set(capsys, tmp_path):
+    # the guard's modulus 30,000 is past the growth period cap, but the set
+    # {3} has no unbounded clause, so the period is never read
+    path = tmp_path / "loop.cm"
+    path.write_text("machine loop\ndim 1\nstate q init\n"
+                    "trans q -> q : x' = 2x + 1 ; guard [0..] mod 30000 = 1\n")
+    code, out, err = run(capsys, "prestar", str(path), "--state", "q", "--value", "3")
+    assert (code, out, err) == (0, "q: [1..3] mod 2 = 1\n", "")
 
 
 def test_prestar_long_translation_step_under_a_breaking_guard(capsys, tmp_path):

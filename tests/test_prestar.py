@@ -4,6 +4,7 @@ explorer."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -799,7 +800,7 @@ def test_growth_tail_walk_is_bounded_by_the_period(monkeypatch):
 def test_cycle_star_random_finite_guards():
     rng = random.Random(4104)
     for _ in range(200):
-        a = rng.randint(-2, 3)
+        a = rng.randint(-5, 5)
         b = rng.randint(-15, 15)
         check_cycle_case(rng, a, b, random_guard(rng, finite=True), random_set(rng))
 
@@ -812,19 +813,70 @@ def test_cycle_star_random_constant_and_reflection():
         check_cycle_case(rng, a, b, random_guard(rng), random_set(rng))
 
 
-def test_cycle_star_finite_guard_is_sized_before_it_is_walked():
-    # the reflection x' = -x + 10^6 keeps the guard [0..10^6], past the
-    # enumeration budget; the budget check must not list its members first
-    m = Machine("big", 1, ("q",), (Transition("q", "q", AffineMap1(-1, 1_000_000)),))
+def test_cycle_star_finite_guard_is_not_walked_start_by_start():
+    # the reflection x' = -x + 10^6 keeps the guard [0..10^6], five times
+    # GUARD_ENUM_CAP; two turns are the identity, so the answer is the
+    # target and its one-turn preimage, found without listing the guard
+    reflect = AffineMap1(-1, 1_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError,
-                           match="cycle guard enumeration of 1000001 values over budget"):
-            compute_pre_star(m, Configuration("q", (5,)))
+        got = pre_cycle_star(cycle(-1, 1_000_000, domain_clause(reflect)), singleton(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert got.values(2_000_000) == [5, 999_995]
     assert peak < 1_000_000
+    m = Machine("big", 1, ("q",), (Transition("q", "q", reflect),))
+    got = compute_pre_star(m, Configuration("q", (5,))).sets["q"]
+    assert got.clauses == (Clause(5, 999_995, 999_990, 5),)
+
+
+def orbit_walk(a: int, b: int, g: Clause, s: SemilinearSet, starts) -> SemilinearSet:
+    """Reference for finite guards and negative slopes: each start's orbit is
+    walked one value at a time until it leaves the guard (a negative value
+    always does), repeats, or enters s after >= 1 turns."""
+    hit = []
+    for n in starts:
+        v = n
+        seen: set[int] = set()
+        while g.member(v) and v not in seen:
+            seen.add(v)
+            v = a * v + b
+            if s.member(v):
+                hit.append(n)
+                break
+    return from_values(hit)
+
+
+def test_cycle_star_matches_the_start_by_start_walk():
+    # finite guards of every slope, and negative slopes under any guard: the
+    # closed forms against the walk of every start the guard and the map
+    # keep inside N
+    rng = random.Random(4130)
+    for _ in range(2000):
+        a, b = rng.randint(-5, 5), rng.randint(-60, 60)
+        m = rng.choice([1, 1, 2, 3, 4, 6])
+        lo = rng.randint(0, 100)
+        finite = a >= 0 or rng.random() < 0.8
+        guard = Clause(lo, lo + rng.randint(0, 400) if finite else None, m, rng.randrange(m))
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            k = rng.randint(1, 12)
+            c_lo = rng.randint(0, 150)
+            clauses.append(Clause(c_lo, rng.choice([None, c_lo + rng.randint(0, 200)]),
+                                  k, rng.randrange(k)))
+        s = semilinear(clauses)
+        starts = guard.values(b // -a if guard.hi is None else guard.hi)
+        want = s.union(orbit_walk(a, b, guard, s, starts))
+        got = pre_cycle_star(cycle(a, b, guard), s)
+        assert got.equal(want), f"a={a} b={b} guard={guard} s={s.render()}"
+
+
+def test_cycle_star_growth_reads_no_period_without_an_unbounded_clause():
+    # the guard's modulus 30,000 is past CLASS_MODULUS_CAP, but {3} has no
+    # unbounded clause, so the walk ends before it would read the period
+    got = pre_cycle_star(cycle(2, 1, Clause(1, None, 30_000, 1)), singleton(3))
+    assert got.normalized().clauses == (Clause(1, 3, 2, 1),)
 
 
 def test_cycle_star_growth_low_region_is_walked_by_preimages():
@@ -1086,6 +1138,50 @@ def test_pre_star_long_translation_beside_a_growth_cycle():
     # runs to q:5 from values that are 0, 1 or 3 mod 7 pass 16,389 on the way
     res = check_against_bounded_explorer(m, Configuration("q", (5,)), low=9, max_value=30000)
     assert res.sets == {"q": interval(0, None), "p": interval(7, None)}
+
+
+# --- the comparison corpus, pinned by a digest -------------------------------
+
+def comparison_corpus():
+    """Every state of the 150 machines of the benchmark's ``sparse`` corpus
+    with targets 0, 5 and the machine's own target value, and q0 of its 20
+    ``dense`` K3s with 0 and 5: the same seeded draws, with states q0, q1, ..."""
+    for i in range(150):
+        rng = random.Random(f"sparse-{i}")
+        n = rng.randint(1, 4)
+        trans = [(rng.randrange(n), rng.randrange(n), rng.randint(-3, 3), rng.randint(-20, 20))
+                 for _ in range(rng.randint(1, 6))]
+        rng.randrange(n), rng.randint(0, 20), rng.randrange(n)  # the source, the target's state
+        value = rng.randint(0, 20)
+        m = Machine(f"r{i}", 1, tuple(f"q{k}" for k in range(n)), tuple(
+            Transition(f"q{u}", f"q{v}", AffineMap1(a, b)) for u, v, a, b in trans))
+        yield from ((m, Configuration(q, (v,))) for q in m.states for v in (0, 5, value))
+    for i in range(20):
+        rng = random.Random(f"dense-{i}")
+        m = Machine(f"k3_{i}", 1, ("q0", "q1", "q2"), tuple(
+            Transition(f"q{u}", f"q{v}", AffineMap1(1, rng.choice((-3, -2, -1, 1, 2))))
+            for u in range(3) for v in range(3) if u != v))
+        yield from ((m, Configuration("q0", (v,))) for v in (0, 5))
+
+
+def test_comparison_corpus_answers_are_pinned():
+    # the sets, state updates and budget exits of compute_pre_star and
+    # compute_pre_star_upward on 1,111 targets, as one digest: a change to the
+    # engine that keeps every answer keeps it
+    lines = []
+    for m, target in comparison_corpus():
+        for run, goal in ((compute_pre_star, target),
+                          (compute_pre_star_upward, UpwardTarget(target))):
+            try:
+                res = run(m, goal)
+                line = f"{res.sweeps} " + " ".join(f"{q}: {res.sets[q].render()}"
+                                                   for q in m.states)
+            except BudgetExceededError as e:
+                line = f"error: {e}"
+            lines.append(f"{m.name} {target.render()} {run.__name__} {line}")
+    assert len(lines) == 2222
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b12b9d68909fcbd526b8074ed1a57b1ca1c471e97097b618dcd75b242c97efe1")
 
 
 # --- answers invariant under rewrites that keep the machine -------------------
